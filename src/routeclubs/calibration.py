@@ -157,9 +157,6 @@ def calibrate(base: ScenarioConfig | None = None,
         if cfg.saturation_headway <= 0 or cfg.free_flow_r1_to_j <= cfg.free_flow_r0_to_j:
             continue
         tried += 1
-        if not _x0_quick_nash(cfg):
-            stage_fail["x0_nash"] += 1
-            continue
         report = evaluate_candidate(cfg)
         if not report.x0_nash:
             stage_fail["x0_nash"] += 1

@@ -78,20 +78,21 @@ def cmd_analyze(args) -> int:
     return 0
 
 
-def _parse_root(text: str) -> frozenset[int]:
+def _parse_root(g, text: str) -> frozenset[int]:
     try:
         members = frozenset(int(tok) for tok in text.replace(",", " ").split())
     except ValueError:
         raise PreconditionError(f"malformed coalition {text!r}; expected e.g. '1,5,6'") from None
-    if not members:
-        raise PreconditionError("root coalition must be non-empty")
+    if not members or not members <= set(g.av_ids):
+        raise PreconditionError(f"root {text!r} must name one or more of the strategic "
+                                f"players {list(g.av_ids)}")
     return members
 
 
 def cmd_graph(args) -> int:
     g = load_matrix(args.matrix)
     if args.root:
-        root = _parse_root(args.root)
+        root = _parse_root(g, args.root)
     else:
         clubs = sort_coalitions(find_clubs(g, 0, av_limit=args.max_n))
         if not clubs:
@@ -119,12 +120,15 @@ def cmd_form(args) -> int:
         if not clubs:
             raise PreconditionError("no club exists; nothing to form")
         leader = min(clubs[0])
-    policy = FormationPolicy(
-        leader=leader,
-        target_selection=TARGET_STABLE if args.policy == "stable" else TARGET_FIRST,
-        max_days=args.max_days,
-    )
-    days = run_formation(cfg, g, policy)
+    try:
+        policy = FormationPolicy(
+            leader=leader,
+            target_selection=TARGET_STABLE if args.policy == "stable" else TARGET_FIRST,
+            max_days=args.max_days,
+        )
+        days = run_formation(cfg, g, policy)
+    except ValueError as err:  # a bad flag, or a matrix of other players
+        raise PreconditionError(str(err)) from None
     lines = []
     for d in days:
         record = {
@@ -165,7 +169,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, matrix_required=True):
+    def add_common(p):
         p.add_argument("--max-n", type=int, default=MAX_AV_PLAYERS,
                        help="enumeration cap on strategic players (default %(default)s)")
         return p

@@ -13,9 +13,10 @@ workers; every operation here is a pure function of its arguments.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterable, Mapping
+from functools import cached_property
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import IncompleteMatrixError, PreconditionError
 
@@ -53,6 +54,19 @@ def deviate_bits(action: int, bits: Iterable[int], n_av: int) -> int:
 def sort_coalitions(coalitions: Iterable[Coalition]) -> list[Coalition]:
     """Canonical presentation order for coalition sets (size, then members)."""
     return sorted(coalitions, key=lambda c: (len(c), sorted(c)))
+
+
+class _AvRows(dict):
+    """Strategic players' payoff rows by joint action, sliced from ``entries`` on first use."""
+
+    def __init__(self, entries: Mapping[int, tuple[float, ...]], columns: tuple[int, ...]):
+        self.entries, self.columns = entries, columns
+
+    def __missing__(self, action: int) -> tuple[float, ...]:
+        if action not in self.entries:
+            raise IncompleteMatrixError(action_to_string(action, len(self.columns)))
+        self[action] = row = tuple(self.entries[action][k] for k in self.columns)
+        return row
 
 
 @dataclass(frozen=True)
@@ -110,6 +124,7 @@ class PayoffMatrix:
         object.__setattr__(self, "entries", entries)
         object.__setattr__(self, "_column", {p: k for k, p in enumerate(player_ids)})
         object.__setattr__(self, "_bit", {p: k for k, p in enumerate(av_ids)})
+        object.__setattr__(self, "_av_rows", _AvRows(entries, tuple(map(player_ids.index, av_ids))))
 
     @property
     def n_av(self) -> int:
@@ -155,9 +170,7 @@ class PayoffMatrix:
         return self.require(action)[self.column(player)]
 
     def av_payoffs(self, action: int) -> tuple[float, ...]:
-        row = self.require(action)
-        column = self._column  # type: ignore[attr-defined]
-        return tuple(row[column[p]] for p in self.av_ids)
+        return self._av_rows[action]  # type: ignore[attr-defined]
 
     def indicator(self, members: Iterable[int]) -> int:
         """Joint action with exactly the given players on route 1."""
@@ -180,20 +193,36 @@ class EquilibriumTag(Enum):
     STRONG_NASH = "strong_nash"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EquilibriumClass:
-    """Classification of one joint action.
+    """Classification of joint action ``action`` of ``matrix``.
 
     ``improving_coalitions`` holds every non-empty coalition whose joint
     deviation strictly improves each of its members; it is empty exactly
-    for strong equilibria, and contains a singleton exactly when the
-    action is not Nash. ``club_found`` flags whether some coalition of
-    two or more improves jointly while none of its members gains alone.
+    for strong equilibria, contains a singleton exactly when the action
+    is not Nash, and is enumerated on first access. ``club_found`` flags
+    whether some coalition of two or more improves jointly while none of
+    its members gains alone. Equality and hashing cover all three.
     """
 
     tag: EquilibriumTag
-    improving_coalitions: frozenset[Coalition]
     club_found: bool
+    matrix: PayoffMatrix = field(repr=False)
+    action: int
+
+    @cached_property
+    def improving_coalitions(self) -> frozenset[Coalition]:
+        # the cap was checked when the action was classified
+        return improving_coalitions(self.matrix, self.action, av_limit=self.matrix.n_av)
+
+    def _key(self) -> tuple:
+        return self.tag, self.improving_coalitions, self.club_found
+
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, EquilibriumClass) and self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
 
 
 def _check_enumeration_cap(g: PayoffMatrix, av_limit: int) -> None:
@@ -202,6 +231,30 @@ def _check_enumeration_cap(g: PayoffMatrix, av_limit: int) -> None:
             f"enumeration over {g.n_av} strategic players exceeds the cap of {av_limit}; "
             f"raise av_limit explicitly if you really mean it"
         )
+
+
+def _improving_masks(rows: Sequence[tuple[float, ...]] | Mapping[int, tuple[float, ...]],
+                     x: int, pool: int) -> Iterator[int]:
+    """Ascending submasks of ``pool`` whose joint flip from ``x`` improves every member.
+
+    ``rows[a]`` holds the strategic players' payoffs at joint action ``a``.
+    Targets are read in mask order, so callers may stop at the first
+    answer, and on a partial matrix the first missing target is named.
+    """
+    base = rows[x]
+    c = pool & -pool
+    while c:
+        target = rows[x ^ c]
+        m = c
+        while m:
+            low = m & -m
+            b = low.bit_length() - 1
+            if target[b] <= base[b]:
+                break
+            m ^= low
+        else:
+            yield c
+        c = (c - pool) & pool
 
 
 def improving_coalitions(g: PayoffMatrix, x: int, *,
@@ -214,21 +267,21 @@ def improving_coalitions(g: PayoffMatrix, x: int, *,
     raises :class:`IncompleteMatrixError` naming it.
     """
     _check_enumeration_cap(g, av_limit)
-    base = g.av_payoffs(x)
-    found: list[int] = []
-    for c in range(1, 1 << g.n_av):
-        target = g.av_payoffs(x ^ c)
-        m = c
-        ok = True
-        while m:
-            b = (m & -m).bit_length() - 1
-            if target[b] <= base[b]:
-                ok = False
-                break
-            m &= m - 1
-        if ok:
-            found.append(c)
+    found = _improving_masks(g._av_rows, x, (1 << g.n_av) - 1)  # type: ignore[attr-defined]
     return frozenset(g.members_of(c) for c in found)
+
+
+def _nash_verdict(g: PayoffMatrix, x: int) -> bool | None:
+    """Nash verdict at ``x``, or None when only unpriced flips could refute it."""
+    base = g.av_payoffs(x)
+    unknown = False
+    for b in range(g.n_av):
+        y = x ^ (1 << b)
+        if not g.has(y):
+            unknown = True
+        elif g.av_payoffs(y)[b] > base[b]:
+            return False
+    return None if unknown else True
 
 
 def is_nash(g: PayoffMatrix, x: int) -> bool:
@@ -238,41 +291,21 @@ def is_nash(g: PayoffMatrix, x: int) -> bool:
     restricted to the players whose flipped action is priced; unpriced
     flips contribute no evidence of improvement.
     """
-    base = g.av_payoffs(x)
-    for b in range(g.n_av):
-        y = x ^ (1 << b)
-        if g.has(y) and g.av_payoffs(y)[b] > base[b]:
-            return False
-    return True
+    return _nash_verdict(g, x) is not False
 
 
 def is_strong(g: PayoffMatrix, x: int, *, av_limit: int = MAX_AV_PLAYERS) -> bool:
     """True iff no coalition of any size can make all its members strictly better off."""
-    return not improving_coalitions(g, x, av_limit=av_limit)
-
-
-def _clubs_among(g: PayoffMatrix, x: int,
-                 improving: frozenset[Coalition]) -> frozenset[Coalition]:
-    """Filter improving coalitions down to clubs relative to x.
-
-    A club needs two or more members, each of whom would not gain by
-    flipping alone, yet all of whom strictly gain by flipping together.
-    """
-    base = g.av_payoffs(x)
-    solo_gain = [g.av_payoffs(x ^ (1 << b))[b] > base[b] for b in range(g.n_av)]
-    clubs = set()
-    for coalition in improving:
-        if len(coalition) < 2:
-            continue
-        if any(solo_gain[g.bit(i)] for i in coalition):
-            continue
-        clubs.add(coalition)
-    return frozenset(clubs)
+    _check_enumeration_cap(g, av_limit)
+    return not any(_improving_masks(g._av_rows, x, (1 << g.n_av) - 1))  # type: ignore[attr-defined]
 
 
 def find_clubs(g: PayoffMatrix, x0: int = 0, *,
                av_limit: int = MAX_AV_PLAYERS) -> frozenset[Coalition]:
     """Clubs available at a Nash equilibrium ``x0``.
+
+    A club is an improving coalition of two or more whose members would
+    not gain alone; at a Nash action that is every improving coalition.
 
     Raises :class:`PreconditionError` when ``x0`` is not Nash: club
     formation is defined as a joint departure from equilibrium.
@@ -281,13 +314,16 @@ def find_clubs(g: PayoffMatrix, x0: int = 0, *,
         raise PreconditionError(
             f"joint action {g.action_string(x0)} is not a Nash equilibrium"
         )
-    improving = improving_coalitions(g, x0, av_limit=av_limit)
-    return _clubs_among(g, x0, improving)
+    return improving_coalitions(g, x0, av_limit=av_limit)
 
 
 def classify_all(g: PayoffMatrix, *,
                  av_limit: int = MAX_AV_PLAYERS) -> dict[int, EquilibriumClass]:
     """Classify every joint action of a complete matrix.
+
+    The solo gainers settle Nash-ness; the first improving coalition of
+    the other players settles the club flag and strong versus plain
+    Nash. Improving-coalition sets wait for first access.
 
     Per-action work is independent and side effect free, so callers may
     shard the action range across workers and merge; this reference
@@ -295,36 +331,16 @@ def classify_all(g: PayoffMatrix, *,
     """
     _check_enumeration_cap(g, av_limit)
     n = g.n_av
+    full = (1 << n) - 1
     rows = [g.av_payoffs(a) for a in range(1 << n)]
     result: dict[int, EquilibriumClass] = {}
-    for x in range(1 << n):
-        base = rows[x]
-        improving: list[int] = []
-        singles = 0
-        for c in range(1, 1 << n):
-            target = rows[x ^ c]
-            m = c
-            ok = True
-            while m:
-                b = (m & -m).bit_length() - 1
-                if target[b] <= base[b]:
-                    ok = False
-                    break
-                m &= m - 1
-            if ok:
-                improving.append(c)
-                if c & (c - 1) == 0:
-                    singles |= c
-        if not improving:
-            tag = EquilibriumTag.STRONG_NASH
-        elif singles:
-            tag = EquilibriumTag.NOT_NASH
-        else:
-            tag = EquilibriumTag.NASH
-        club_found = any(c & (c - 1) and not c & singles for c in improving)
-        result[x] = EquilibriumClass(
-            tag=tag,
-            improving_coalitions=frozenset(g.members_of(c) for c in improving),
-            club_found=club_found,
-        )
+    for x, base in enumerate(rows):
+        solo = 0
+        for b in range(n):
+            if rows[x ^ 1 << b][b] > base[b]:
+                solo |= 1 << b
+        group = any(_improving_masks(rows, x, full & ~solo))
+        tag = (EquilibriumTag.NOT_NASH if solo else EquilibriumTag.NASH if group
+               else EquilibriumTag.STRONG_NASH)
+        result[x] = EquilibriumClass(tag=tag, club_found=group, matrix=g, action=x)
     return result

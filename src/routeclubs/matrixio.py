@@ -48,8 +48,10 @@ def save_matrix(g: PayoffMatrix, path: str | Path) -> None:
 
 def load_matrix(path: str | Path) -> PayoffMatrix:
     """Read a matrix file, raising :class:`MatrixFormatError` with line numbers."""
-    text = Path(path).read_text()
-    lines = text.splitlines()
+    try:
+        lines = Path(path).read_text().splitlines()
+    except UnicodeDecodeError as e:
+        raise MatrixFormatError(f"matrix file {path} is not a text file: {e}") from None
     if not lines or lines[0].strip() != MAGIC:
         raise MatrixFormatError(f"expected magic line {MAGIC!r}", line=1)
 

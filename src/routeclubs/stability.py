@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping
 
 from .errors import ModelInconsistencyError
-from .game import Coalition, PayoffMatrix, improving_coalitions, MAX_AV_PLAYERS
+from .game import Coalition, PayoffMatrix, is_strong, MAX_AV_PLAYERS, _nash_verdict
 
 
 @dataclass(frozen=True)
@@ -65,13 +65,8 @@ def is_internally_stable(g: PayoffMatrix, members: Iterable[int]) -> bool:
     priced: one priced witness suffices for False.
     """
     coalition = _check_members(g, members)
-    stay = g.indicator(coalition)
-    g.require(stay)
-    for i in sorted(coalition):
-        leave = g.indicator(coalition - {i})
-        if g.has(leave) and g.payoff(i, leave) > g.payoff(i, stay):
-            return False
-    return True
+    g.require(g.indicator(coalition))
+    return _internal_tristate(g, coalition) is not False
 
 
 def is_externally_stable(g: PayoffMatrix, members: Iterable[int]) -> bool:
@@ -104,22 +99,7 @@ def _internal_tristate(g: PayoffMatrix, coalition: Coalition) -> bool | None:
         leave = g.indicator(coalition - {i})
         if not g.has(leave):
             unknown = True
-            continue
-        if g.payoff(i, leave) > g.payoff(i, stay):
-            return False
-    return None if unknown else True
-
-
-def _nash_tristate(g: PayoffMatrix, coalition: Coalition) -> bool | None:
-    x = g.indicator(coalition)
-    base = g.require(x)
-    unknown = False
-    for k, p in enumerate(g.av_ids):
-        y = x ^ (1 << k)
-        if not g.has(y):
-            unknown = True
-            continue
-        if g.payoff(p, y) > base[g.column(p)]:
+        elif g.payoff(i, leave) > g.payoff(i, stay):
             return False
     return None if unknown else True
 
@@ -144,7 +124,7 @@ def build_club_graph(g: PayoffMatrix, root: Iterable[int]) -> ClubGraph:
             members=coalition,
             internally_stable=_internal_tristate(g, coalition),
             externally_stable=not eager,
-            is_nash_state=_nash_tristate(g, coalition),
+            is_nash_state=_nash_verdict(g, g.indicator(coalition)),
         )
         for j in sorted(eager):
             child = coalition | {j}
@@ -177,5 +157,5 @@ def se_candidates(g: PayoffMatrix, graph: ClubGraph, *,
     return frozenset(
         coalition
         for coalition in terminal_coalitions(graph)
-        if not improving_coalitions(g, g.indicator(coalition), av_limit=av_limit)
+        if is_strong(g, g.indicator(coalition), av_limit=av_limit)
     )

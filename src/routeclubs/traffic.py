@@ -260,7 +260,7 @@ def load_scenario(path: str | Path) -> ScenarioConfig:
     """Read a scenario config from its JSON file."""
     try:
         data = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as e:
+    except (json.JSONDecodeError, UnicodeDecodeError) as e:
         raise FormatError(f"scenario file {path} is not valid JSON: {e}") from None
     return _scenario_from_dict(data, source=str(path))
 
@@ -272,9 +272,9 @@ def _scenario_from_dict(data: object, source: str) -> ScenarioConfig:
     unknown = set(data) - known
     if unknown:
         raise FormatError(f"scenario file {source} has unknown keys: {sorted(unknown)}")
-    if "av_ids" in data:
-        data = dict(data, av_ids=tuple(data["av_ids"]))
     try:
+        if "av_ids" in data:
+            data = dict(data, av_ids=tuple(data["av_ids"]))
         return ScenarioConfig(**data)
     except (TypeError, ValueError) as e:
         raise FormatError(f"scenario file {source} is invalid: {e}") from None

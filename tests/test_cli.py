@@ -35,6 +35,12 @@ class TestGenerate:
         assert main(["generate", "--config", str(bad), "--out", str(tmp_path / "x")]) == 2
         assert "error" in capsys.readouterr().err
 
+    def test_scalar_av_ids_exits_2(self, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_text('{"av_ids": 5}')
+        assert main(["generate", "--config", str(bad), "--out", str(tmp_path / "x")]) == 2
+        assert capsys.readouterr().err.startswith("error: scenario file")
+
 
 class TestAnalyze:
     def test_report(self, matrix_file, tmp_path, capsys):
@@ -55,6 +61,12 @@ class TestAnalyze:
     def test_missing_file_exits_2(self, tmp_path):
         assert main(["analyze", "--matrix", str(tmp_path / "absent.mtx")]) == 2
 
+    def test_non_utf8_matrix_exits_2(self, tmp_path, capsys):
+        bad = tmp_path / "bad.mtx"
+        bad.write_bytes(b"routeclubs-matrix 1\n\xff\xfe\n")
+        assert main(["analyze", "--matrix", str(bad)]) == 2
+        assert capsys.readouterr().err.count("\n") == 1
+
 
 class TestGraph:
     def test_default_root_is_first_club(self, matrix_file, tmp_path, capsys):
@@ -72,6 +84,11 @@ class TestGraph:
         assert main(["graph", "--matrix", str(matrix_file),
                      "--root", "a,b", "--out", str(tmp_path / "g.dot")]) == 3
 
+    def test_non_strategic_root_exits_3(self, matrix_file, tmp_path, capsys):
+        assert main(["graph", "--matrix", str(matrix_file),
+                     "--root", "99", "--out", str(tmp_path / "g.dot")]) == 3
+        assert "'99'" in capsys.readouterr().err
+
 
 class TestForm:
     def test_writes_day_log(self, matrix_file, tmp_path):
@@ -82,6 +99,17 @@ class TestForm:
         assert records[0]["action"] == "0000000000"
         assert records[1]["event"] == "club_deviates"
         assert records[-1]["event"] == "converged"
+
+    def test_zero_max_days_exits_3(self, matrix_file, capsys):
+        assert main(["form", "--matrix", str(matrix_file), "--max-days", "0"]) == 3
+        assert capsys.readouterr().err == "error: max_days must be at least 1\n"
+
+    def test_matrix_of_other_players_exits_3(self, matrix_file, tmp_path, scenario):
+        from dataclasses import replace
+        cfg_path = tmp_path / "narrow.json"
+        save_scenario(replace(scenario, av_ids=(7, 8, 9)), cfg_path)
+        assert main(["form", "--config", str(cfg_path), "--matrix", str(matrix_file),
+                     "--leader", "7"]) == 3
 
     def test_static_mode_exits_3(self, tmp_path, scenario):
         from routeclubs.traffic import static_variant

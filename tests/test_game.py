@@ -203,6 +203,51 @@ class TestClassifyAll:
             assert (item.tag is EquilibriumTag.NOT_NASH) == has_singleton
 
 
+@st.composite
+def tie_heavy_games(draw):
+    """Complete games with 1 to 5 strategic players and payoffs from {-3, -2, -1, 0}.
+
+    With four payoff levels, equal payoffs across a flip are common, so
+    the strict inequality of "improving" is exercised on every game.
+    """
+    n_av = draw(st.integers(1, 5))
+    n_players = n_av + draw(st.integers(0, 2))
+    av_ids = tuple(sorted(draw(st.permutations(range(n_players)))[:n_av]))
+    level = st.sampled_from((-3.0, -2.0, -1.0, 0.0))
+    entries = {a: tuple(draw(level) for _ in range(n_players)) for a in range(1 << n_av)}
+    return PayoffMatrix(n_players=n_players, av_ids=av_ids, entries=entries)
+
+
+class TestCoalitionKernel:
+    @given(tie_heavy_games())
+    @settings(max_examples=60, deadline=None)
+    def test_classification_matches_oracle(self, g):
+        result = classify_all(g)
+        for x, item in result.items():
+            # tag and club flag come from the early-exit search alone
+            assert "improving_coalitions" not in vars(item)
+            expected = (
+                EquilibriumTag.STRONG_NASH if oracle.strong(g, x)
+                else EquilibriumTag.NASH if oracle.nash(g, x)
+                else EquilibriumTag.NOT_NASH
+            )
+            assert item.tag is expected
+            assert item.club_found == bool(oracle.clubs(g, x))
+            assert is_strong(g, x) == (expected is EquilibriumTag.STRONG_NASH)
+        for x, item in result.items():
+            assert item.improving_coalitions == oracle.improving(g, x)
+
+    @given(tie_heavy_games(), st.data())
+    @settings(max_examples=30, deadline=None)
+    def test_partial_matrix_is_rejected(self, g, data):
+        missing = data.draw(st.sampled_from(sorted(g.entries)))
+        partial = PayoffMatrix(
+            n_players=g.n_players, av_ids=g.av_ids,
+            entries={a: row for a, row in g.entries.items() if a != missing})
+        with pytest.raises(IncompleteMatrixError, match=g.action_string(missing)):
+            classify_all(partial)
+
+
 class TestInvariants:
     @given(st.integers(0, 2**31 - 1))
     @settings(max_examples=40, deadline=None)
