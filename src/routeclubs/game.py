@@ -235,7 +235,7 @@ def _check_enumeration_cap(g: PayoffMatrix, av_limit: int) -> None:
 
 def _improving_masks(rows: Sequence[tuple[float, ...]] | Mapping[int, tuple[float, ...]],
                      x: int, pool: int) -> Iterator[int]:
-    """Ascending submasks of ``pool`` whose joint flip from ``x`` improves every member.
+    """Ascending submasks of ``pool`` whose joint flip from ``x`` strictly improves each member.
 
     ``rows[a]`` holds the strategic players' payoffs at joint action ``a``.
     Targets are read in mask order, so callers may stop at the first

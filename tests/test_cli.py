@@ -35,11 +35,14 @@ class TestGenerate:
         assert main(["generate", "--config", str(bad), "--out", str(tmp_path / "x")]) == 2
         assert "error" in capsys.readouterr().err
 
-    def test_scalar_av_ids_exits_2(self, tmp_path, capsys):
+    @pytest.mark.parametrize("content", [b'{"av_ids": 5}', b"\xff{}"],
+                             ids=["scalar_av_ids", "not_utf8"])
+    def test_malformed_scenario_exits_2(self, tmp_path, capsys, content):
         bad = tmp_path / "bad.json"
-        bad.write_text('{"av_ids": 5}')
+        bad.write_bytes(content)
         assert main(["generate", "--config", str(bad), "--out", str(tmp_path / "x")]) == 2
-        assert capsys.readouterr().err.startswith("error: scenario file")
+        err = capsys.readouterr().err
+        assert err.startswith("error: scenario file") and err.count("\n") == 1
 
 
 class TestAnalyze:
