@@ -332,6 +332,7 @@ def classify_all(g: PayoffMatrix, *,
     _check_enumeration_cap(g, av_limit)
     n = g.n_av
     full = (1 << n) - 1
+    # a list names the first missing action and indexes faster than the row cache
     rows = [g.av_payoffs(a) for a in range(1 << n)]
     result: dict[int, EquilibriumClass] = {}
     for x, base in enumerate(rows):
