@@ -120,15 +120,12 @@ def cmd_form(args) -> int:
         if not clubs:
             raise PreconditionError("no club exists; nothing to form")
         leader = min(clubs[0])
-    try:
-        policy = FormationPolicy(
-            leader=leader,
-            target_selection=TARGET_STABLE if args.policy == "stable" else TARGET_FIRST,
-            max_days=args.max_days,
-        )
-        days = run_formation(cfg, g, policy)
-    except ValueError as err:  # a bad flag, or a matrix of other players
-        raise PreconditionError(str(err)) from None
+    policy = FormationPolicy(
+        leader=leader,
+        target_selection=TARGET_STABLE if args.policy == "stable" else TARGET_FIRST,
+        max_days=args.max_days,
+    )
+    days = run_formation(cfg, g, policy)
     lines = []
     for d in days:
         record = {

@@ -20,6 +20,7 @@ from .stability import build_club_graph, se_candidates
 from .traffic import (
     ScenarioConfig,
     SignalPlan,
+    SimOutcome,
     evaluate_lagged_day,
     route1_demand,
     signal_plan,
@@ -48,9 +49,9 @@ class FormationPolicy:
 
     def __post_init__(self) -> None:
         if self.target_selection not in (TARGET_FIRST, TARGET_STABLE):
-            raise ValueError(f"unknown target selection {self.target_selection!r}")
+            raise PreconditionError(f"unknown target selection {self.target_selection!r}")
         if self.max_days < 1:
-            raise ValueError("max_days must be at least 1")
+            raise PreconditionError("max_days must be at least 1")
 
 
 @dataclass(frozen=True)
@@ -111,7 +112,7 @@ def run_formation(cfg: ScenarioConfig, g: PayoffMatrix,
         raise PreconditionError("formation needs adaptive supply; a static signal admits no clubs")
     if (g.n_players != cfg.n_total or g.av_ids != cfg.av_ids
             or g.player_ids != tuple(range(cfg.n_total))):
-        raise ValueError("payoff matrix does not match the scenario's players")
+        raise PreconditionError("payoff matrix does not match the scenario's players")
     if not is_nash(g, 0):
         raise PreconditionError("the all-on-route-0 action is not a Nash equilibrium")
     club = choose_club(g, policy)
@@ -119,10 +120,11 @@ def run_formation(cfg: ScenarioConfig, g: PayoffMatrix,
     records: list[DayRecord] = []
 
     def record(day: int, action: int, yesterday: int, event: DayEvent,
-               player: int | None = None, from_route: int | None = None,
-               to_route: int | None = None) -> None:
+               outcome: SimOutcome | None = None, player: int | None = None,
+               from_route: int | None = None, to_route: int | None = None) -> None:
         plan = signal_plan(route1_demand(yesterday), cfg.supply_mode)
-        outcome = evaluate_lagged_day(cfg, action, yesterday)
+        if outcome is None:
+            outcome = evaluate_lagged_day(cfg, action, yesterday)
         records.append(DayRecord(
             day=day, action=action, plan=plan,
             payoffs=tuple(-t for t in outcome.travel_times),
@@ -147,15 +149,15 @@ def run_formation(cfg: ScenarioConfig, g: PayoffMatrix,
         player = free[(day - 3) % len(free)]
         yesterday = records[-1].action
         bit = 1 << g.bit(player)
-        stay_tt = evaluate_lagged_day(cfg, yesterday, yesterday).travel_times[player]
-        flip_tt = evaluate_lagged_day(cfg, yesterday ^ bit, yesterday).travel_times[player]
-        if flip_tt < stay_tt:
-            today = yesterday ^ bit
+        stay = evaluate_lagged_day(cfg, yesterday, yesterday)
+        flip = evaluate_lagged_day(cfg, yesterday ^ bit, yesterday)
+        if flip.travel_times[player] < stay.travel_times[player]:
+            today, outcome = yesterday ^ bit, flip
             quiet_days = 0
         else:
-            today = yesterday
+            today, outcome = yesterday, stay
             quiet_days += 1
-        record(day, today, yesterday, DayEvent.BEST_RESPONSE, player=player,
+        record(day, today, yesterday, DayEvent.BEST_RESPONSE, outcome, player=player,
                from_route=yesterday >> g.bit(player) & 1,
                to_route=today >> g.bit(player) & 1)
         day += 1

@@ -109,7 +109,7 @@ def load_matrix(path: str | Path) -> PayoffMatrix:
             raise MatrixFormatError(
                 f"row has {len(tokens) - 1} payoffs, expected {n_players}", line=lineno)
         try:
-            payoffs = tuple(float(t) for t in tokens[1:])
+            payoffs = tuple(map(float, tokens[1:]))
         except ValueError:
             raise MatrixFormatError("malformed payoff number", line=lineno) from None
         entries[action] = payoffs

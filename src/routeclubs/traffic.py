@@ -26,7 +26,8 @@ import hashlib
 import json
 from dataclasses import asdict, dataclass, replace
 from importlib import resources
-from math import floor
+from functools import cached_property
+from math import floor, inf
 from pathlib import Path
 from typing import Literal
 
@@ -65,15 +66,22 @@ class SignalPlan:
         return self.green_west + self.intergreen
 
 
+_BASE_PLAN = SignalPlan(*BASE_SPLIT)
+_SURGE_PLAN = SignalPlan(*SURGE_SPLIT)
+
+
 def signal_plan(route1_demand: int, mode: SupplyMode) -> SignalPlan:
-    """Green split given the route-1 demand the controller has seen."""
+    """Green split given the route-1 demand the controller has seen.
+
+    Plans are immutable, so every caller shares the two prebuilt ones.
+    """
     if route1_demand < 0:
         raise ValueError("route1_demand must be non-negative")
     if mode not in ("static", "adaptive"):
         raise ValueError(f"unknown supply mode {mode!r}")
     if mode == "adaptive" and route1_demand >= ROUTE1_SURGE_THRESHOLD:
-        return SignalPlan(*SURGE_SPLIT)
-    return SignalPlan(*BASE_SPLIT)
+        return _SURGE_PLAN
+    return _BASE_PLAN
 
 
 @dataclass(frozen=True)
@@ -125,44 +133,65 @@ class ScenarioConfig:
 
     def departure_order(self) -> tuple[int, ...]:
         """Player id occupying each departure slot, earliest slot first."""
-        humans = [p for p in range(self.n_total) if p not in set(self.av_ids)]
-        avs = list(self.av_ids)
+        strategic = set(self.av_ids)
+        humans = [p for p in range(self.n_total) if p not in strategic]
+        avs = self.av_ids
         order = []
+        h = a = 0
         for slot in range(self.n_total):
-            human_turn = humans and (slot + 1) % self.human_slot_period == 0
-            if human_turn or not avs:
-                order.append(humans.pop(0))
+            human_turn = h < len(humans) and (slot + 1) % self.human_slot_period == 0
+            if human_turn or a == len(avs):
+                order.append(humans[h])
+                h += 1
             else:
-                order.append(avs.pop(0))
+                order.append(avs[a])
+                a += 1
         return tuple(order)
+
+    @cached_property
+    def schedule(self) -> tuple[tuple[int, float, int], ...]:
+        """``(player, departure time, strategic bit or -1)`` per slot, earliest first.
+
+        Built on first use and kept on the instance, so it lives exactly
+        as long as the config does.
+        """
+        bit = {p: k for k, p in enumerate(self.av_ids)}
+        return tuple((player, slot * self.departure_headway, bit.get(player, -1))
+                     for slot, player in enumerate(self.departure_order()))
 
     def departure_times(self) -> tuple[float, ...]:
         """Departure time per player id."""
         times = [0.0] * self.n_total
-        for slot, player in enumerate(self.departure_order()):
-            times[player] = slot * self.departure_headway
+        for player, departure, _ in self.schedule:
+            times[player] = departure
         return tuple(times)
 
 
 @dataclass(frozen=True)
 class SimOutcome:
-    """Per-vehicle travel times plus per-route aggregates for one day."""
+    """Per-vehicle travel times of one day under joint action ``action``.
+
+    The per-route aggregates are derived from the action when read, off
+    the simulation's path; route means are summed in player-id order.
+    """
 
     travel_times: tuple[float, ...]
-    route_counts: tuple[int, int]
-    route_mean_times: tuple[float | None, float | None]
+    av_ids: tuple[int, ...]
+    action: int
 
+    @property
+    def route_counts(self) -> tuple[int, int]:
+        on_route1 = self.action.bit_count()
+        return len(self.travel_times) - on_route1, on_route1
 
-def _next_green_instant(t: float, window_start: float, window_len: float,
-                        cycle: float) -> float:
-    phase = (t - window_start) % cycle
-    if phase < window_len:
-        return t
-    return t + cycle - phase
-
-
-def _quantize(value: float, quantum: float) -> float:
-    return floor(value / quantum + 0.5) * quantum
+    @property
+    def route_mean_times(self) -> tuple[float | None, float | None]:
+        route1 = {p for k, p in enumerate(self.av_ids) if self.action >> k & 1}
+        means = []
+        for r, count in enumerate(self.route_counts):
+            total = sum(t for p, t in enumerate(self.travel_times) if (p in route1) == r)
+            means.append(total / count if count else None)
+        return means[0], means[1]
 
 
 def simulate(cfg: ScenarioConfig, action: int, plan: SignalPlan) -> SimOutcome:
@@ -171,39 +200,29 @@ def simulate(cfg: ScenarioConfig, action: int, plan: SignalPlan) -> SimOutcome:
     Stop-line discharge per inlet: earliest instant inside the inlet's
     green window at or after ``max(arrival, previous discharge +
     saturation headway)``, which keeps each route strictly first-in
-    first-out.
+    first-out. Slots depart in order, so one walk over the schedule
+    serves both queues. Travel times are quantized to the payoff
+    resolution.
     """
     if not 0 <= action < (1 << cfg.n_av):
         raise ValueError(f"action {action} out of range for {cfg.n_av} strategic players")
-    route = [0] * cfg.n_total
-    for k, player in enumerate(cfg.av_ids):
-        if action >> k & 1:
-            route[player] = 1
-    departures = cfg.departure_times()
+    cycle = plan.cycle
+    window_start = (cfg.signal_offset, cfg.signal_offset + plan.south_start)
+    window_len = (plan.green_west, plan.green_south)
+    free_flow = (cfg.free_flow_r0_to_j, cfg.free_flow_r1_to_j)
+    saturation = cfg.saturation_headway
+    exit_leg = cfg.free_flow_j_to_b
+    quantum = cfg.payoff_quantum
+    previous = [-inf, -inf]
     times = [0.0] * cfg.n_total
-    windows = (
-        (cfg.signal_offset, plan.green_west, cfg.free_flow_r0_to_j),
-        (cfg.signal_offset + plan.south_start, plan.green_south, cfg.free_flow_r1_to_j),
-    )
-    for r, (window_start, window_len, free_flow) in enumerate(windows):
-        vehicles = sorted((p for p in range(cfg.n_total) if route[p] == r),
-                          key=lambda p: departures[p])
-        previous = None
-        for player in vehicles:
-            arrival = departures[player] + free_flow
-            ready = arrival if previous is None else max(arrival, previous + cfg.saturation_headway)
-            discharge = _next_green_instant(ready, window_start, window_len, plan.cycle)
-            previous = discharge
-            total = discharge + cfg.free_flow_j_to_b - departures[player]
-            times[player] = _quantize(total, cfg.payoff_quantum)
-    counts = (route.count(0), route.count(1))
-    means = tuple(
-        (sum(times[p] for p in range(cfg.n_total) if route[p] == r) / counts[r])
-        if counts[r] else None
-        for r in (0, 1)
-    )
-    return SimOutcome(travel_times=tuple(times), route_counts=counts,
-                      route_mean_times=means)  # type: ignore[arg-type]
+    for player, departure, bit in cfg.schedule:
+        r = action >> bit & 1 if bit >= 0 else 0
+        ready = max(departure + free_flow[r], previous[r] + saturation)
+        phase = (ready - window_start[r]) % cycle
+        discharge = ready if phase < window_len[r] else ready + cycle - phase
+        previous[r] = discharge
+        times[player] = floor((discharge + exit_leg - departure) / quantum + 0.5) * quantum
+    return SimOutcome(tuple(times), cfg.av_ids, action)
 
 
 def route1_demand(action: int) -> int:
@@ -229,7 +248,7 @@ def generate_payoff_matrix(cfg: ScenarioConfig, *,
     for action in range(1 << cfg.n_av):
         plan = signal_plan(route1_demand(action), cfg.supply_mode)
         outcome = simulate(cfg, action, plan)
-        entries[action] = tuple(-t for t in outcome.travel_times)
+        entries[action] = tuple([-t for t in outcome.travel_times])
     return PayoffMatrix(
         n_players=cfg.n_total,
         av_ids=cfg.av_ids,

@@ -2,12 +2,15 @@
 
 Everything here is written the slow, obvious way on purpose: deviation
 targets are materialized bit by bit, member inequalities are re-checked
-one player at a time, and the growth graph is closed recursively. None
-of it shares code with the package beyond the PayoffMatrix accessors.
+one player at a time, the growth graph is closed recursively, and each
+route's queue is sorted by departure time and discharged on its own.
+None of it shares code with the package beyond the PayoffMatrix
+accessors and the scenario and signal-plan fields.
 """
 
 from __future__ import annotations
 
+import math
 from itertools import combinations
 
 
@@ -111,3 +114,61 @@ def closure(g, root):
 def leaf_set(g, root):
     nodes, _ = closure(g, root)
     return {c for c in nodes if not eager_joiners(g, c)}
+
+
+def departure_order(cfg):
+    """Every period-th slot goes to the next human while humans remain, the rest to AVs."""
+    humans = [p for p in range(cfg.n_total) if p not in cfg.av_ids]
+    avs = list(cfg.av_ids)
+    order = []
+    for slot in range(cfg.n_total):
+        if humans and ((slot + 1) % cfg.human_slot_period == 0 or not avs):
+            order.append(humans.pop(0))
+        else:
+            order.append(avs.pop(0))
+    return order
+
+
+def simulate(cfg, action, plan):
+    """One day of the point-queue model: (travel_times, route_counts, route_mean_times)."""
+    departure = {}
+    for slot, player in enumerate(departure_order(cfg)):
+        departure[player] = slot * cfg.departure_headway
+    route = {}
+    for player in range(cfg.n_total):
+        route[player] = 0
+        for k, av in enumerate(cfg.av_ids):
+            if av == player and action >> k & 1:
+                route[player] = 1
+    south_start = plan.green_west + plan.intergreen
+    windows = {
+        0: (cfg.signal_offset, plan.green_west, cfg.free_flow_r0_to_j),
+        1: (cfg.signal_offset + south_start, plan.green_south, cfg.free_flow_r1_to_j),
+    }
+    times = {}
+    for r in (0, 1):
+        start, length, free_flow = windows[r]
+        queue = sorted((p for p in range(cfg.n_total) if route[p] == r),
+                       key=lambda p: departure[p])
+        previous = None
+        for player in queue:
+            t = departure[player] + free_flow
+            if previous is not None and previous + cfg.saturation_headway > t:
+                t = previous + cfg.saturation_headway
+            phase = (t - start) % plan.cycle
+            if phase >= length:
+                t = t + plan.cycle - phase
+            previous = t
+            total = t + cfg.free_flow_j_to_b - departure[player]
+            times[player] = math.floor(total / cfg.payoff_quantum + 0.5) * cfg.payoff_quantum
+    travel_times = tuple(times[p] for p in range(cfg.n_total))
+    counts = []
+    means = []
+    for r in (0, 1):
+        members = [p for p in range(cfg.n_total) if route[p] == r]
+        counts.append(len(members))
+        total = 0
+        for p in members:
+            total = total + times[p]
+        means.append(total / len(members) if members else None)
+    return travel_times, tuple(counts), tuple(means)

@@ -148,7 +148,7 @@ class TestRunFormation:
         from conftest import random_game
         import random
         policy = FormationPolicy(leader=0)
-        with pytest.raises(ValueError, match="does not match"):
+        with pytest.raises(PreconditionError, match="does not match"):
             run_formation(scenario, random_game(random.Random(1)), policy)
 
     def test_payoffs_recorded_for_every_player(self, days, scenario):
@@ -159,9 +159,9 @@ class TestRunFormation:
 
 class TestPolicyValidation:
     def test_unknown_mode(self):
-        with pytest.raises(ValueError, match="target selection"):
+        with pytest.raises(PreconditionError, match="target selection"):
             FormationPolicy(leader=0, target_selection="greedy")
 
     def test_max_days_must_be_positive(self):
-        with pytest.raises(ValueError, match="max_days"):
+        with pytest.raises(PreconditionError, match="max_days"):
             FormationPolicy(leader=0, max_days=0)

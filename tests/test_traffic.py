@@ -1,7 +1,13 @@
 from __future__ import annotations
 
-import pytest
+import gc
+import weakref
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import oracle
 from routeclubs import (
     ScenarioConfig,
     SignalPlan,
@@ -121,6 +127,44 @@ class TestSimulate:
         cfg = single_vehicle_config(payoff_quantum=10.0, signal_offset=49.0)
         out = simulate(cfg, 0, signal_plan(0, "adaptive"))
         assert out.travel_times[0] % 10.0 == 0.0
+
+    @given(st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_oracle(self, data):
+        n_total = data.draw(st.integers(1, 8), label="n_total")
+        players = data.draw(st.permutations(range(n_total)), label="players")
+        av_ids = tuple(players[:data.draw(st.integers(1, n_total), label="n_av")])
+        r0 = data.draw(st.sampled_from((5.0, 20.0, 22.5)), label="r0")
+        cfg = ScenarioConfig(
+            n_total=n_total,
+            av_ids=av_ids,
+            departure_headway=data.draw(st.sampled_from((0.5, 0.75, 1.0, 2.0, 3.0, 7.3))),
+            free_flow_r0_to_j=r0,
+            free_flow_r1_to_j=r0 + data.draw(st.sampled_from((0.5, 1.0, 10.0, 18.0))),
+            free_flow_j_to_b=data.draw(st.sampled_from((0.1, 5.0))),
+            saturation_headway=data.draw(st.sampled_from((1.5, 2.0, 4.0))),
+            payoff_quantum=data.draw(st.sampled_from((0.1, 0.3, 0.5, 1.0, 2.5))),
+            supply_mode=data.draw(st.sampled_from(("static", "adaptive"))),
+            signal_offset=data.draw(st.floats(0.0, 60.0)),
+            human_slot_period=data.draw(st.integers(1, 4), label="human_slot_period"),
+        )
+        plan = signal_plan(data.draw(st.integers(0, 4), label="demand"),
+                           data.draw(st.sampled_from(("static", "adaptive")), label="mode"))
+        action = data.draw(st.integers(0, (1 << cfg.n_av) - 1), label="action")
+        out = simulate(cfg, action, plan)
+        times, counts, means = oracle.simulate(cfg, action, plan)
+        assert out.travel_times == times
+        assert out.route_counts == counts
+        assert out.route_mean_times == means
+
+    def test_dropped_config_is_collected(self):
+        # the departure schedule lives on the config, not in a cache that pins it
+        cfg = ScenarioConfig()
+        simulate(cfg, 5, signal_plan(2, cfg.supply_mode))
+        alive = weakref.ref(cfg)
+        del cfg
+        gc.collect()
+        assert alive() is None
 
     def test_queue_builds_from_first_to_last_departure(self, scenario):
         out = simulate(scenario, 0, signal_plan(0, scenario.supply_mode))
