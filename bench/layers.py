@@ -1,6 +1,6 @@
 """Per-layer timings of routeclubs, written to ``BENCH_<label>.json``.
 
-    python3 bench/layers.py --label NAME [--samples N] [--out DIR]
+    python3 bench/layers.py --label NAME [--out DIR]
 
 Run it from a checkout holding ``src/routeclubs``; the package is
 imported from that ``src``, so the same script times any commit it is
@@ -18,7 +18,7 @@ Each layer is one call on fixed inputs:
 - ``run_formation``: the canonical replay from the first club's least
   member, on a matrix built once beforehand.
 
-Every layer is sampled ``--samples`` times, the layers taking turns, so
+Every layer is sampled ``SAMPLES`` times, the layers taking turns, so
 that a spell of slower CPU on a shared host touches all of them alike.
 A sample repeats the call until ``MIN_SAMPLE_S`` has passed and keeps
 the time per call. The file holds each layer's median and interquartile
@@ -42,6 +42,7 @@ from itertools import product
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+SAMPLES = 31
 MIN_SAMPLE_S = 0.05
 CLUB = (7, 8, 9)
 
@@ -97,10 +98,10 @@ def calls_per_sample(call) -> int:
         number *= 2
 
 
-def measure(calls: dict, samples: int) -> dict:
+def measure(calls: dict) -> dict:
     numbers = {name: calls_per_sample(call) for name, call in calls.items()}
     times: dict[str, list[float]] = {name: [] for name in calls}
-    for _ in range(samples):
+    for _ in range(SAMPLES):
         for name, call in calls.items():
             number = numbers[name]
             started = time.perf_counter()
@@ -111,23 +112,20 @@ def measure(calls: dict, samples: int) -> dict:
     for name, values in times.items():
         q1, median, q3 = statistics.quantiles(values, n=4)
         result[name] = {"median_s": median, "iqr_s": q3 - q1,
-                        "samples": samples, "calls_per_sample": numbers[name]}
+                        "samples": SAMPLES, "calls_per_sample": numbers[name]}
     return result
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--label", required=True, help="names the file BENCH_<label>.json")
-    parser.add_argument("--samples", type=int, default=21)
     parser.add_argument("--out", default=str(ROOT / "bench"), help="directory to write to")
     args = parser.parse_args(argv)
-    if args.samples < 4:
-        parser.error("--samples must be at least 4 to give quartiles")
     report = {
         "label": args.label,
         "git_sha": git_sha(),
         "python": platform.python_version(),
-        "layers": measure(layers(), args.samples),
+        "layers": measure(layers()),
     }
     path = Path(args.out) / f"BENCH_{args.label}.json"
     path.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")

@@ -109,20 +109,20 @@ class PayoffMatrix:
         for action, row in self.entries.items():
             if not 0 <= action < (1 << n_av):
                 raise ValueError(f"action {action} out of range for {n_av} strategic players")
-            payoffs = row
             # float rows, as load_matrix and generate_payoff_matrix build them,
-            # pass in one sweep; anything else is converted and its fault named
-            if not (type(row) is tuple and len(row) == self.n_players
-                    and all(type(v) is float and -inf < v <= 0 for v in row)):
+            # are kept as given; anything else is converted first
+            if type(row) is tuple and all(type(v) is float for v in row):
+                payoffs = row
+            else:
                 payoffs = tuple(float(v) for v in row)
-                if len(payoffs) != self.n_players:
-                    raise ValueError(
-                        f"action {action_to_string(action, n_av)} has {len(payoffs)} payoffs, "
-                        f"expected {self.n_players}"
-                    )
-                for v in payoffs:
-                    if not -inf < v <= 0:
-                        raise ValueError(f"payoffs must be finite and <= 0, got {v}")
+            if len(payoffs) != self.n_players:
+                raise ValueError(
+                    f"action {action_to_string(action, n_av)} has {len(payoffs)} payoffs, "
+                    f"expected {self.n_players}"
+                )
+            for v in payoffs:
+                if not -inf < v <= 0:
+                    raise ValueError(f"payoffs must be finite and <= 0, got {v}")
             entries[action] = payoffs
         object.__setattr__(self, "player_ids", player_ids)
         object.__setattr__(self, "av_ids", av_ids)
