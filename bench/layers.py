@@ -16,7 +16,13 @@ Each layer is one call on fixed inputs:
   calibration grid whose all-on-route-0 action fails the quick Nash
   check, so the matrix is never built;
 - ``run_formation``: the canonical replay from the first club's least
-  member, on a matrix built once beforehand.
+  member, on a matrix built once beforehand;
+- ``classify_all_n10`` / ``_n12``: every joint action of the two
+  matrices above, built once beforehand;
+- ``is_nash_all_n10``: the Nash test at each of the 1,024 canonical
+  actions;
+- ``build_club_graph``: the growth graph of the canonical matrix rooted
+  at club {7, 8, 9}.
 
 Every layer is sampled ``SAMPLES`` times, the layers taking turns, so
 that a spell of slower CPU on a shared host touches all of them alike.
@@ -59,8 +65,8 @@ def git_sha() -> str:
 def layers() -> dict:
     """Name -> zero-argument call, inputs prepared here and not timed."""
     sys.path.insert(0, str(ROOT / "src"))
-    from routeclubs import calibration, formation, traffic
-    from routeclubs.game import find_clubs, sort_coalitions
+    from routeclubs import calibration, formation, stability, traffic
+    from routeclubs.game import classify_all, find_clubs, is_nash, sort_coalitions
 
     cfg = traffic.canonical_scenario()
     n12 = replace(cfg, av_ids=tuple(range(12)))
@@ -77,6 +83,7 @@ def layers() -> dict:
         raise RuntimeError("no grid point fails the quick Nash check")
 
     g = traffic.generate_payoff_matrix(cfg)
+    g12 = traffic.generate_payoff_matrix(n12)
     policy = formation.FormationPolicy(leader=min(sort_coalitions(find_clubs(g, 0))[0]))
     return {
         "simulate": lambda: traffic.simulate(cfg, club, plan),
@@ -84,6 +91,10 @@ def layers() -> dict:
         "generate_payoff_matrix_n12": lambda: traffic.generate_payoff_matrix(n12),
         "evaluate_candidate_quick_rejection": lambda: calibration.evaluate_candidate(rejected),
         "run_formation": lambda: formation.run_formation(cfg, g, policy),
+        "classify_all_n10": lambda: classify_all(g),
+        "classify_all_n12": lambda: classify_all(g12),
+        "is_nash_all_n10": lambda: [is_nash(g, x) for x in range(1 << g.n_av)],
+        "build_club_graph": lambda: stability.build_club_graph(g, CLUB),
     }
 
 

@@ -101,8 +101,6 @@ def evaluate_candidate(cfg: ScenarioConfig) -> CandidateReport:
     if not _x0_quick_nash(cfg):
         return CandidateReport(cfg=cfg, x0_nash=False)
     g = generate_payoff_matrix(cfg)
-    if not is_nash(g, 0):
-        return CandidateReport(cfg=cfg, x0_nash=False)
 
     av_totals = {a: sum(g.av_payoffs(a)) for a in g.actions()}
     all_totals = {a: sum(g.entries[a]) for a in g.actions()}

@@ -19,14 +19,7 @@ from dataclasses import replace
 from .errors import FormatError, PreconditionError
 from .exports import export_dot, export_scatter
 from .formation import TARGET_FIRST, TARGET_STABLE, DayEvent, FormationPolicy, run_formation
-from .game import (
-    MAX_AV_PLAYERS,
-    EquilibriumTag,
-    classify_all,
-    find_clubs,
-    is_nash,
-    sort_coalitions,
-)
+from .game import EquilibriumTag, classify_all, find_clubs, sort_coalitions
 from .matrixio import load_matrix, save_matrix
 from .stability import build_club_graph, se_candidates, terminal_coalitions
 from .traffic import canonical_scenario, generate_payoff_matrix, load_scenario
@@ -42,7 +35,7 @@ def cmd_generate(args) -> int:
     cfg = _scenario(args)
     if args.mode:
         cfg = replace(cfg, supply_mode=args.mode)
-    g = generate_payoff_matrix(cfg, av_limit=args.max_n)
+    g = generate_payoff_matrix(cfg)
     save_matrix(g, args.out)
     print(f"wrote {len(g.entries)} joint actions for {g.n_av} strategic players "
           f"({cfg.supply_mode} supply) to {args.out}")
@@ -51,12 +44,13 @@ def cmd_generate(args) -> int:
 
 def cmd_analyze(args) -> int:
     g = load_matrix(args.matrix)
-    classification = classify_all(g, av_limit=args.max_n)
+    classification = classify_all(g)
     counts = {tag.value: 0 for tag in EquilibriumTag}
     for item in classification.values():
         counts[item.tag.value] += 1
     strong = sorted(a for a, c in classification.items()
                     if c.tag is EquilibriumTag.STRONG_NASH)
+    x0 = classification[0]
     report = {
         "n_players": g.n_players,
         "n_av": g.n_av,
@@ -64,10 +58,11 @@ def cmd_analyze(args) -> int:
         "counts": counts,
         "strong_actions": [g.action_string(a) for a in strong],
         "actions_with_clubs": sum(1 for c in classification.values() if c.club_found),
-        "x0_is_nash": is_nash(g, 0),
+        "x0_is_nash": x0.tag is not EquilibriumTag.NOT_NASH,
     }
     if report["x0_is_nash"]:
-        report["clubs_at_x0"] = [sorted(c) for c in sort_coalitions(find_clubs(g, 0, av_limit=args.max_n))]
+        # at a Nash action every improving coalition is a club
+        report["clubs_at_x0"] = [sorted(c) for c in sort_coalitions(x0.improving_coalitions)]
     for key, value in report.items():
         print(f"{key}: {value}")
     if args.out:
@@ -94,12 +89,12 @@ def cmd_graph(args) -> int:
     if args.root:
         root = _parse_root(g, args.root)
     else:
-        clubs = sort_coalitions(find_clubs(g, 0, av_limit=args.max_n))
+        clubs = sort_coalitions(find_clubs(g, 0))
         if not clubs:
             raise PreconditionError("no club exists at the all-on-route-0 action; pass --root")
         root = clubs[0]
     graph = build_club_graph(g, root)
-    se = se_candidates(g, graph, av_limit=args.max_n) if g.complete else frozenset()
+    se = se_candidates(g, graph) if g.complete else frozenset()
     export_dot(graph, args.out, se_nodes=se)
     leaves = terminal_coalitions(graph)
     print(f"root {sorted(root)}: {len(graph.nodes)} coalitions, {len(graph.edges)} joins, "
@@ -112,11 +107,11 @@ def cmd_form(args) -> int:
     if args.matrix:
         g = load_matrix(args.matrix)
     else:
-        g = generate_payoff_matrix(cfg, av_limit=args.max_n)
+        g = generate_payoff_matrix(cfg)
     if args.leader is not None:
         leader = args.leader
     else:
-        clubs = sort_coalitions(find_clubs(g, 0, av_limit=args.max_n))
+        clubs = sort_coalitions(find_clubs(g, 0))
         if not clubs:
             raise PreconditionError("no club exists; nothing to form")
         leader = min(clubs[0])
@@ -153,7 +148,7 @@ def cmd_form(args) -> int:
 
 def cmd_scatter(args) -> int:
     g = load_matrix(args.matrix)
-    classification = classify_all(g, av_limit=args.max_n)
+    classification = classify_all(g)
     export_scatter(g, classification, args.out)
     print(f"wrote {len(g.entries)} scatter rows to {args.out}")
     return 0
@@ -166,29 +161,24 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p):
-        p.add_argument("--max-n", type=int, default=MAX_AV_PLAYERS,
-                       help="enumeration cap on strategic players (default %(default)s)")
-        return p
-
-    p = add_common(sub.add_parser("generate", help="simulate a scenario into a matrix file"))
+    p = sub.add_parser("generate", help="simulate a scenario into a matrix file")
     p.add_argument("--config", help="scenario JSON (default: bundled calibrated scenario)")
     p.add_argument("--mode", choices=["static", "adaptive"], help="override supply mode")
     p.add_argument("--out", required=True, help="matrix file to write")
     p.set_defaults(func=cmd_generate)
 
-    p = add_common(sub.add_parser("analyze", help="classify all joint actions of a matrix"))
+    p = sub.add_parser("analyze", help="classify all joint actions of a matrix")
     p.add_argument("--matrix", required=True)
     p.add_argument("--out", help="optional JSON report path")
     p.set_defaults(func=cmd_analyze)
 
-    p = add_common(sub.add_parser("graph", help="build and export the club dynamics graph"))
+    p = sub.add_parser("graph", help="build and export the club dynamics graph")
     p.add_argument("--matrix", required=True)
     p.add_argument("--root", help="club members, e.g. '7,8,9' (default: first club at x0)")
     p.add_argument("--out", required=True, help="DOT file to write")
     p.set_defaults(func=cmd_graph)
 
-    p = add_common(sub.add_parser("form", help="replay the day-by-day formation process"))
+    p = sub.add_parser("form", help="replay the day-by-day formation process")
     p.add_argument("--config", help="scenario JSON (default: bundled calibrated scenario)")
     p.add_argument("--matrix", help="matrix file (default: generate from the scenario)")
     p.add_argument("--leader", type=int, help="leader player id (default: least member of first club)")
@@ -197,7 +187,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", help="JSON-lines file to write (default: stdout)")
     p.set_defaults(func=cmd_form)
 
-    p = add_common(sub.add_parser("scatter", help="export the per-action scatter CSV"))
+    p = sub.add_parser("scatter", help="export the per-action scatter CSV")
     p.add_argument("--matrix", required=True)
     p.add_argument("--out", required=True, help="CSV file to write")
     p.set_defaults(func=cmd_scatter)

@@ -23,7 +23,7 @@ from .errors import IncompleteMatrixError, PreconditionError
 Coalition = frozenset[int]
 
 # 2**20 joint actions times 2**20 candidate coalitions is where exhaustive
-# enumeration stops being a realistic afternoon; refuse past it by default.
+# enumeration stops being a realistic afternoon; refuse past it.
 MAX_AV_PLAYERS = 20
 
 
@@ -129,7 +129,9 @@ class PayoffMatrix:
         object.__setattr__(self, "entries", entries)
         object.__setattr__(self, "_column", {p: k for k, p in enumerate(player_ids)})
         object.__setattr__(self, "_bit", {p: k for k, p in enumerate(av_ids)})
-        object.__setattr__(self, "_av_rows", _AvRows(entries, tuple(map(player_ids.index, av_ids))))
+        columns = tuple(map(player_ids.index, av_ids))
+        object.__setattr__(self, "_av_rows", _AvRows(entries, columns))
+        object.__setattr__(self, "_flips", tuple((1 << k, c) for k, c in enumerate(columns)))
 
     @property
     def n_av(self) -> int:
@@ -149,9 +151,6 @@ class PayoffMatrix:
         if len(text) != self.n_av:
             raise ValueError(f"action string {text!r} must have length {self.n_av}")
         return action_from_string(text)
-
-    def has(self, action: int) -> bool:
-        return action in self.entries
 
     def require(self, action: int) -> tuple[float, ...]:
         try:
@@ -217,8 +216,7 @@ class EquilibriumClass:
 
     @cached_property
     def improving_coalitions(self) -> frozenset[Coalition]:
-        # the cap was checked when the action was classified
-        return improving_coalitions(self.matrix, self.action, av_limit=self.matrix.n_av)
+        return improving_coalitions(self.matrix, self.action)
 
     def _key(self) -> tuple:
         return self.tag, self.improving_coalitions, self.club_found
@@ -230,11 +228,10 @@ class EquilibriumClass:
         return hash(self._key())
 
 
-def _check_enumeration_cap(g: PayoffMatrix, av_limit: int) -> None:
-    if g.n_av > av_limit:
+def _check_enumeration_cap(g: PayoffMatrix) -> None:
+    if g.n_av > MAX_AV_PLAYERS:
         raise PreconditionError(
-            f"enumeration over {g.n_av} strategic players exceeds the cap of {av_limit}; "
-            f"raise av_limit explicitly if you really mean it"
+            f"enumeration over {g.n_av} strategic players exceeds the cap of {MAX_AV_PLAYERS}"
         )
 
 
@@ -262,8 +259,7 @@ def _improving_masks(rows: Sequence[tuple[float, ...]] | Mapping[int, tuple[floa
         c = (c - pool) & pool
 
 
-def improving_coalitions(g: PayoffMatrix, x: int, *,
-                         av_limit: int = MAX_AV_PLAYERS) -> frozenset[Coalition]:
+def improving_coalitions(g: PayoffMatrix, x: int) -> frozenset[Coalition]:
     """Every non-empty coalition whose joint flip strictly improves all members.
 
     Singletons are included, so the result is empty iff ``x`` is a strong
@@ -271,22 +267,32 @@ def improving_coalitions(g: PayoffMatrix, x: int, *,
     payoffs of ``x`` and of every deviation target; a missing target
     raises :class:`IncompleteMatrixError` naming it.
     """
-    _check_enumeration_cap(g, av_limit)
+    _check_enumeration_cap(g)
     found = _improving_masks(g._av_rows, x, (1 << g.n_av) - 1)  # type: ignore[attr-defined]
     return frozenset(g.members_of(c) for c in found)
 
 
-def _nash_verdict(g: PayoffMatrix, x: int) -> bool | None:
-    """Nash verdict at ``x``, or None when only unpriced flips could refute it."""
-    base = g.av_payoffs(x)
-    unknown = False
-    for b in range(g.n_av):
-        y = x ^ (1 << b)
-        if not g.has(y):
-            unknown = True
-        elif g.av_payoffs(y)[b] > base[b]:
-            return False
-    return None if unknown else True
+def _flip_gainers(g: PayoffMatrix, x: int, pool: int) -> Iterator[int]:
+    """Ascending bits of ``pool`` whose player strictly gains by flipping alone from ``x``.
+
+    ``x`` must be priced. Flips to unpriced actions are skipped, so on a
+    partial matrix only priced flips witness a gain; :func:`_unpriced_flips`
+    names the flips that could not be judged.
+    """
+    entries = g.entries
+    base = g.require(x)
+    for bit, c in g._flips:  # type: ignore[attr-defined]
+        if pool & bit:
+            row = entries.get(x ^ bit)
+            if row is not None and row[c] > base[c]:
+                yield bit
+
+
+def _unpriced_flips(g: PayoffMatrix, x: int) -> int:
+    """Bits whose single flip from ``x`` is unpriced; 0 on a complete matrix."""
+    if g.complete:
+        return 0
+    return sum(bit for bit, _ in g._flips if x ^ bit not in g.entries)  # type: ignore[attr-defined]
 
 
 def is_nash(g: PayoffMatrix, x: int) -> bool:
@@ -296,17 +302,16 @@ def is_nash(g: PayoffMatrix, x: int) -> bool:
     restricted to the players whose flipped action is priced; unpriced
     flips contribute no evidence of improvement.
     """
-    return _nash_verdict(g, x) is not False
+    return not any(_flip_gainers(g, x, (1 << g.n_av) - 1))
 
 
-def is_strong(g: PayoffMatrix, x: int, *, av_limit: int = MAX_AV_PLAYERS) -> bool:
+def is_strong(g: PayoffMatrix, x: int) -> bool:
     """True iff no coalition of any size can make all its members strictly better off."""
-    _check_enumeration_cap(g, av_limit)
+    _check_enumeration_cap(g)
     return not any(_improving_masks(g._av_rows, x, (1 << g.n_av) - 1))  # type: ignore[attr-defined]
 
 
-def find_clubs(g: PayoffMatrix, x0: int = 0, *,
-               av_limit: int = MAX_AV_PLAYERS) -> frozenset[Coalition]:
+def find_clubs(g: PayoffMatrix, x0: int = 0) -> frozenset[Coalition]:
     """Clubs available at a Nash equilibrium ``x0``.
 
     A club is an improving coalition of two or more whose members would
@@ -315,15 +320,15 @@ def find_clubs(g: PayoffMatrix, x0: int = 0, *,
     Raises :class:`PreconditionError` when ``x0`` is not Nash: club
     formation is defined as a joint departure from equilibrium.
     """
+    _check_enumeration_cap(g)
     if not is_nash(g, x0):
         raise PreconditionError(
             f"joint action {g.action_string(x0)} is not a Nash equilibrium"
         )
-    return improving_coalitions(g, x0, av_limit=av_limit)
+    return improving_coalitions(g, x0)
 
 
-def classify_all(g: PayoffMatrix, *,
-                 av_limit: int = MAX_AV_PLAYERS) -> dict[int, EquilibriumClass]:
+def classify_all(g: PayoffMatrix) -> dict[int, EquilibriumClass]:
     """Classify every joint action of a complete matrix.
 
     The solo gainers settle Nash-ness; the first improving coalition of
@@ -334,17 +339,13 @@ def classify_all(g: PayoffMatrix, *,
     shard the action range across workers and merge; this reference
     implementation runs sequentially.
     """
-    _check_enumeration_cap(g, av_limit)
-    n = g.n_av
-    full = (1 << n) - 1
+    _check_enumeration_cap(g)
+    full = (1 << g.n_av) - 1
     # a list names the first missing action and indexes faster than the row cache
-    rows = [g.av_payoffs(a) for a in range(1 << n)]
+    rows = [g.av_payoffs(a) for a in range(full + 1)]
     result: dict[int, EquilibriumClass] = {}
-    for x, base in enumerate(rows):
-        solo = 0
-        for b in range(n):
-            if rows[x ^ 1 << b][b] > base[b]:
-                solo |= 1 << b
+    for x in range(full + 1):
+        solo = sum(_flip_gainers(g, x, full))
         group = any(_improving_masks(rows, x, full & ~solo))
         tag = (EquilibriumTag.NOT_NASH if solo else EquilibriumTag.NASH if group
                else EquilibriumTag.STRONG_NASH)

@@ -12,8 +12,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
-from .errors import ModelInconsistencyError
-from .game import Coalition, PayoffMatrix, is_strong, MAX_AV_PLAYERS, _nash_verdict
+from .errors import ModelInconsistencyError, PreconditionError
+from .game import (Coalition, PayoffMatrix, _check_enumeration_cap, _flip_gainers,
+                   _unpriced_flips, is_strong)
 
 
 @dataclass(frozen=True)
@@ -48,13 +49,15 @@ class ClubGraph:
         return frozenset(c for c, node in self.nodes.items() if node.externally_stable)
 
 
-def _check_members(g: PayoffMatrix, members: Iterable[int]) -> Coalition:
+def _check_members(g: PayoffMatrix, members: Iterable[int]) -> tuple[Coalition, int]:
+    """The coalition and its joint action, refusing an empty or non-strategic one."""
     coalition = frozenset(members)
     if not coalition:
-        raise ValueError("coalition must be non-empty")
-    for p in coalition:
-        g.bit(p)
-    return coalition
+        raise PreconditionError("coalition must be non-empty")
+    try:
+        return coalition, g.indicator(coalition)
+    except ValueError as err:
+        raise PreconditionError(str(err)) from None
 
 
 def is_internally_stable(g: PayoffMatrix, members: Iterable[int]) -> bool:
@@ -64,9 +67,8 @@ def is_internally_stable(g: PayoffMatrix, members: Iterable[int]) -> bool:
     verdict is restricted to the members whose walk-out action is
     priced: one priced witness suffices for False.
     """
-    coalition = _check_members(g, members)
-    g.require(g.indicator(coalition))
-    return _internal_tristate(g, coalition) is not False
+    _, x = _check_members(g, members)
+    return not any(_flip_gainers(g, x, x))
 
 
 def is_externally_stable(g: PayoffMatrix, members: Iterable[int]) -> bool:
@@ -79,29 +81,8 @@ def joiners(g: PayoffMatrix, members: Iterable[int]) -> frozenset[int]:
 
     On a partial matrix only priced join actions can witness a joiner.
     """
-    coalition = _check_members(g, members)
-    current = g.indicator(coalition)
-    g.require(current)
-    eager = set()
-    for j in g.av_ids:
-        if j in coalition:
-            continue
-        joined = current | 1 << g.bit(j)
-        if g.has(joined) and g.payoff(j, joined) > g.payoff(j, current):
-            eager.add(j)
-    return frozenset(eager)
-
-
-def _internal_tristate(g: PayoffMatrix, coalition: Coalition) -> bool | None:
-    stay = g.indicator(coalition)
-    unknown = False
-    for i in sorted(coalition):
-        leave = g.indicator(coalition - {i})
-        if not g.has(leave):
-            unknown = True
-        elif g.payoff(i, leave) > g.payoff(i, stay):
-            return False
-    return None if unknown else True
+    _, x = _check_members(g, members)
+    return g.members_of(sum(_flip_gainers(g, x, ~x & ((1 << g.n_av) - 1))))
 
 
 def build_club_graph(g: PayoffMatrix, root: Iterable[int]) -> ClubGraph:
@@ -111,7 +92,8 @@ def build_club_graph(g: PayoffMatrix, root: Iterable[int]) -> ClubGraph:
     join-by-one neighbours (a complete matrix always suffices). The
     result is independent of traversal order.
     """
-    root_coalition = _check_members(g, root)
+    root_coalition, _ = _check_members(g, root)
+    full = (1 << g.n_av) - 1
     nodes: dict[Coalition, ClubNode] = {}
     edges: set[tuple[Coalition, Coalition, int]] = set()
     frontier = [root_coalition]
@@ -119,12 +101,16 @@ def build_club_graph(g: PayoffMatrix, root: Iterable[int]) -> ClubGraph:
         coalition = frontier.pop()
         if coalition in nodes:
             continue
-        eager = joiners(g, coalition)
+        x = g.indicator(coalition)
+        gainers = sum(_flip_gainers(g, x, full))
+        # a gainer refutes a verdict; without one, an unpriced flip leaves it open
+        unpriced = _unpriced_flips(g, x)
+        eager = g.members_of(gainers & ~x)
         nodes[coalition] = ClubNode(
             members=coalition,
-            internally_stable=_internal_tristate(g, coalition),
+            internally_stable=False if gainers & x else None if unpriced & x else True,
             externally_stable=not eager,
-            is_nash_state=_nash_verdict(g, g.indicator(coalition)),
+            is_nash_state=False if gainers else None if unpriced else True,
         )
         for j in sorted(eager):
             child = coalition | {j}
@@ -151,11 +137,11 @@ def terminal_coalitions(graph: ClubGraph) -> frozenset[Coalition]:
     return leaves
 
 
-def se_candidates(g: PayoffMatrix, graph: ClubGraph, *,
-                  av_limit: int = MAX_AV_PLAYERS) -> frozenset[Coalition]:
+def se_candidates(g: PayoffMatrix, graph: ClubGraph) -> frozenset[Coalition]:
     """Leaves whose deviated action no coalition whatsoever can improve upon."""
+    _check_enumeration_cap(g)
     return frozenset(
         coalition
         for coalition in terminal_coalitions(graph)
-        if is_strong(g, g.indicator(coalition), av_limit=av_limit)
+        if is_strong(g, g.indicator(coalition))
     )

@@ -230,8 +230,7 @@ def route1_demand(action: int) -> int:
     return action.bit_count()
 
 
-def generate_payoff_matrix(cfg: ScenarioConfig, *,
-                           av_limit: int = MAX_AV_PLAYERS) -> PayoffMatrix:
+def generate_payoff_matrix(cfg: ScenarioConfig) -> PayoffMatrix:
     """Price every joint action under its own converged signal plan.
 
     For each action the controller is assumed to have already adapted to
@@ -239,10 +238,10 @@ def generate_payoff_matrix(cfg: ScenarioConfig, *,
     then the day is simulated and payoffs recorded as negative quantized
     travel times for all vehicles, humans included.
     """
-    if cfg.n_av > av_limit:
+    if cfg.n_av > MAX_AV_PLAYERS:
         raise PreconditionError(
             f"{cfg.n_av} strategic players need {1 << cfg.n_av} simulations, over the "
-            f"cap of 2**{av_limit}; raise av_limit explicitly if you really mean it"
+            f"cap of 2**{MAX_AV_PLAYERS}"
         )
     entries = {}
     for action in range(1 << cfg.n_av):

@@ -92,6 +92,39 @@ def eager_joiners(g, members):
     return result
 
 
+def flip_verdict(g, action, players):
+    """Does no one of ``players`` gain by flipping alone, on a possibly partial matrix?
+
+    False on one priced witness; None when no priced flip gains but some
+    flip is unpriced; True otherwise.
+    """
+    verdicts = []
+    for player in players:
+        target = flip_one(g, action, player)
+        if target in g.entries:
+            verdicts.append(not g.payoff(player, target) > g.payoff(player, action))
+        else:
+            verdicts.append(None)
+    if False in verdicts:
+        return False
+    if None in verdicts:
+        return None
+    return True
+
+
+def priced_joiners(g, members):
+    """Eager joiners on a possibly partial matrix: an unpriced join witnesses nothing."""
+    members = frozenset(members)
+    current = g.indicator(members)
+    result = set()
+    for outsider in g.av_ids:
+        joined = g.indicator(members | {outsider})
+        if outsider not in members and joined in g.entries:
+            if g.payoff(outsider, joined) > g.payoff(outsider, current):
+                result.add(outsider)
+    return result
+
+
 def closure(g, root):
     """Recursive closure of the join relation: (nodes, edges)."""
     root = frozenset(root)

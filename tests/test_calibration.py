@@ -1,0 +1,28 @@
+from __future__ import annotations
+
+import random
+from dataclasses import replace
+
+import pytest
+
+from routeclubs import ScenarioConfig, canonical_scenario, generate_payoff_matrix, is_nash
+from routeclubs.calibration import DEFAULT_GRID, _x0_quick_nash
+
+
+@pytest.mark.parametrize("mode", ["static", "adaptive"])
+def test_quick_nash_agrees_with_the_matrix(mode):
+    # evaluate_candidate takes the quick check's verdict on x0 without asking
+    # the matrix again, so the two must never disagree
+    rng = random.Random(19)
+    names = sorted(DEFAULT_GRID)
+    points = [canonical_scenario()] + [
+        replace(ScenarioConfig(), **{n: rng.choice(DEFAULT_GRID[n]) for n in names})
+        for _ in range(12)
+    ]
+    verdicts = set()
+    for cfg in points:
+        cfg = replace(cfg, supply_mode=mode)
+        verdict = _x0_quick_nash(cfg)
+        assert verdict == is_nash(generate_payoff_matrix(cfg), 0), cfg
+        verdicts.add(verdict)
+    assert verdicts == {True, False}

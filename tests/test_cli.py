@@ -45,6 +45,17 @@ class TestGenerate:
         assert err.startswith("error: scenario file") and err.count("\n") == 1
 
 
+    def test_past_the_cap_exits_3(self, tmp_path, capsys, scenario):
+        from dataclasses import replace
+        from routeclubs import MAX_AV_PLAYERS
+        n = MAX_AV_PLAYERS + 1
+        cfg_path = tmp_path / "wide.json"
+        save_scenario(replace(scenario, n_total=n + 4, av_ids=tuple(range(n))), cfg_path)
+        assert main(["generate", "--config", str(cfg_path), "--out", str(tmp_path / "x")]) == 3
+        assert f"cap of 2**{MAX_AV_PLAYERS}" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+
+
 class TestAnalyze:
     def test_report(self, matrix_file, tmp_path, capsys):
         report_path = tmp_path / "report.json"

@@ -9,17 +9,20 @@ from hypothesis import strategies as st
 import oracle
 from conftest import random_game
 from routeclubs import (
+    MAX_AV_PLAYERS,
     EquilibriumTag,
     IncompleteMatrixError,
     PayoffMatrix,
     PreconditionError,
     action_from_string,
     action_to_string,
+    build_club_graph,
     classify_all,
     find_clubs,
     improving_coalitions,
     is_nash,
     is_strong,
+    se_candidates,
 )
 from routeclubs.game import deviate_bits
 
@@ -98,9 +101,17 @@ class TestImprovingCoalitions:
             improving_coalitions(fixture_partial, 0)
 
     def test_enumeration_cap(self):
-        g = make_matrix({"00": [-1, -1]}, n_players=2)
-        with pytest.raises(PreconditionError, match="cap"):
-            improving_coalitions(g, 0, av_limit=1)
+        # one priced row: past the cap check, each call would fail on a
+        # missing action or start a 2**21 walk
+        n = MAX_AV_PLAYERS + 1
+        g = PayoffMatrix(n_players=n, av_ids=tuple(range(n)), entries={1: (-1.0,) * n})
+        graph = build_club_graph(g, {0})
+        calls = (lambda: improving_coalitions(g, 1), lambda: is_strong(g, 1),
+                 lambda: find_clubs(g, 1), lambda: classify_all(g),
+                 lambda: se_candidates(g, graph))
+        for call in calls:
+            with pytest.raises(PreconditionError, match=f"cap of {MAX_AV_PLAYERS}"):
+                call()
 
 
 class TestIsNash:

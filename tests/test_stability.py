@@ -4,9 +4,15 @@ import random
 
 import pytest
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 import oracle
 from conftest import random_game
+from test_game import tie_heavy_games
 from routeclubs import (
+    PayoffMatrix,
+    PreconditionError,
     build_club_graph,
     improving_coalitions,
     is_externally_stable,
@@ -36,10 +42,11 @@ class TestInternalStability:
         assert is_internally_stable(g, {0})
 
     def test_rejects_non_players(self, fixture_partial):
-        with pytest.raises(ValueError, match="not a strategic player"):
-            is_internally_stable(fixture_partial, {2})
-        with pytest.raises(ValueError, match="non-empty"):
-            is_internally_stable(fixture_partial, set())
+        for check in (is_internally_stable, joiners, build_club_graph):
+            with pytest.raises(PreconditionError, match="not a strategic player"):
+                check(fixture_partial, {2})
+            with pytest.raises(PreconditionError, match="non-empty"):
+                check(fixture_partial, set())
 
 
 class TestExternalStabilityAndJoiners:
@@ -120,6 +127,36 @@ class TestClubGraph:
         for members, node in graph.nodes.items():
             both = node.internally_stable and node.externally_stable
             assert both == is_nash(fixture_complete, fixture_complete.indicator(members))
+
+
+@st.composite
+def partial_games(draw):
+    """A tie-heavy game with random rows deleted, and a coalition whose action is kept."""
+    g = draw(tie_heavy_games())
+    members = frozenset(draw(st.sets(st.sampled_from(g.av_ids), min_size=1)))
+    x = g.indicator(members)
+    entries = {a: row for a, row in g.entries.items() if a == x or draw(st.booleans())}
+    return PayoffMatrix(n_players=g.n_players, av_ids=g.av_ids, entries=entries), members
+
+
+class TestPartialMatrixVerdicts:
+    @given(partial_games())
+    @settings(max_examples=200, deadline=None)
+    def test_single_flip_verdicts_match_oracle(self, case):
+        g, members = case
+        x = g.indicator(members)
+        assert is_nash(g, x) == (oracle.flip_verdict(g, x, g.av_ids) is not False)
+        assert is_internally_stable(g, members) == (oracle.flip_verdict(g, x, members) is not False)
+        assert joiners(g, members) == oracle.priced_joiners(g, members)
+        graph = build_club_graph(g, members)
+        for coalition, node in graph.nodes.items():
+            y = g.indicator(coalition)
+            eager = oracle.priced_joiners(g, coalition)
+            assert node.internally_stable is oracle.flip_verdict(g, y, coalition)
+            assert node.is_nash_state is oracle.flip_verdict(g, y, g.av_ids)
+            assert node.externally_stable == (not eager)
+            assert {e for e in graph.edges if e[0] == coalition} == \
+                {(coalition, coalition | {j}, j) for j in eager}
 
 
 class TestTerminals:

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import gc
 import weakref
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -21,7 +22,9 @@ from routeclubs import (
     simulate,
     static_variant,
 )
+from routeclubs import traffic
 from routeclubs.errors import PreconditionError
+from routeclubs.game import MAX_AV_PLAYERS
 from routeclubs.traffic import route1_demand, scenario_hash
 
 
@@ -191,9 +194,16 @@ class TestGeneratePayoffMatrix:
         clubs = find_clubs(g, 0)
         assert clubs and any(2 <= len(c) <= 4 for c in clubs)
 
-    def test_cap_refuses_blowup(self, scenario):
-        with pytest.raises(PreconditionError, match="cap"):
-            generate_payoff_matrix(scenario, av_limit=5)
+    def test_cap_refuses_blowup(self, scenario, monkeypatch):
+        n = MAX_AV_PLAYERS + 1
+        wide = replace(scenario, n_total=n + 4, av_ids=tuple(range(n)))
+
+        def no_simulation(*args):
+            raise AssertionError("simulated past the cap")
+
+        monkeypatch.setattr(traffic, "simulate", no_simulation)
+        with pytest.raises(PreconditionError, match=rf"cap of 2\*\*{MAX_AV_PLAYERS}"):
+            generate_payoff_matrix(wide)
 
     def test_metadata(self, scenario, adaptive_matrix):
         assert adaptive_matrix.supply_mode == "adaptive"
