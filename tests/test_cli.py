@@ -44,7 +44,6 @@ class TestGenerate:
         err = capsys.readouterr().err
         assert err.startswith("error: scenario file") and err.count("\n") == 1
 
-
     def test_past_the_cap_exits_3(self, tmp_path, capsys, scenario):
         from dataclasses import replace
         from routeclubs import MAX_AV_PLAYERS

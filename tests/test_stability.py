@@ -3,7 +3,6 @@ from __future__ import annotations
 import random
 
 import pytest
-
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
