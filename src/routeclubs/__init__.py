@@ -9,7 +9,6 @@ from .errors import (
     FormatError,
     IncompleteMatrixError,
     MatrixFormatError,
-    ModelInconsistencyError,
     PreconditionError,
 )
 from .exports import export_dot, export_scatter
@@ -77,7 +76,6 @@ __all__ = [
     "IncompleteMatrixError",
     "MatrixFormatError",
     "MAX_AV_PLAYERS",
-    "ModelInconsistencyError",
     "PayoffMatrix",
     "PreconditionError",
     "ScenarioConfig",

@@ -21,7 +21,7 @@ from .exports import export_dot, export_scatter
 from .formation import TARGET_FIRST, TARGET_STABLE, DayEvent, FormationPolicy, run_formation
 from .game import EquilibriumTag, classify_all, find_clubs, sort_coalitions
 from .matrixio import load_matrix, save_matrix
-from .stability import build_club_graph, se_candidates, terminal_coalitions
+from .stability import build_club_graph, se_candidates
 from .traffic import canonical_scenario, generate_payoff_matrix, load_scenario
 
 
@@ -96,7 +96,7 @@ def cmd_graph(args) -> int:
     graph = build_club_graph(g, root)
     se = se_candidates(g, graph) if g.complete else frozenset()
     export_dot(graph, args.out, se_nodes=se)
-    leaves = terminal_coalitions(graph)
+    leaves = graph.leaves()
     print(f"root {sorted(root)}: {len(graph.nodes)} coalitions, {len(graph.edges)} joins, "
           f"{len(leaves)} terminal, {len(se)} strong; wrote {args.out}")
     return 0

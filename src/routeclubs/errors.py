@@ -27,7 +27,3 @@ class FormatError(ValueError):
 
 class MatrixFormatError(FormatError):
     """A payoff-matrix file violates the matrix schema."""
-
-
-class ModelInconsistencyError(RuntimeError):
-    """A structural guarantee of the model failed on concrete data."""

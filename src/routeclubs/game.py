@@ -22,8 +22,9 @@ from .errors import IncompleteMatrixError, PreconditionError
 
 Coalition = frozenset[int]
 
-# 2**20 joint actions times 2**20 candidate coalitions is where exhaustive
-# enumeration stops being a realistic afternoon; refuse past it.
+# At 20 strategic players a matrix holds 2**20 rows and classify_all ANDs
+# 2**20-bit sets 2**20 times, minutes of work by extrapolation from 16
+# players (2.6 s); refuse past it.
 MAX_AV_PLAYERS = 20
 
 
@@ -56,17 +57,64 @@ def sort_coalitions(coalitions: Iterable[Coalition]) -> list[Coalition]:
     return sorted(coalitions, key=lambda c: (len(c), sorted(c)))
 
 
-class _AvRows(dict):
-    """Strategic players' payoff rows by joint action, sliced from ``entries`` on first use."""
+# Translation tables from one byte per action to "0"/"1" digits: where the
+# byte exceeds r, and where it equals r
+_GREATER = tuple(b"0" * (r + 1) + b"1" * (255 - r) for r in range(256))
+_EQUAL = tuple(b"0" * r + b"1" + b"0" * (255 - r) for r in range(256))
+
+
+class _PlayerLevels(dict):
+    """One strategic player's deviation targets by payoff level, as 2**n-bit sets.
+
+    ``self[v][x_b]`` holds bit ``y`` for every joint action ``y`` at which
+    the player either keeps route ``x_b`` or strictly earns more than
+    ``v``. Nothing earns more than ``inf``, so ``self[inf][x_b]`` is the
+    set of actions that keep the route. Levels are built on first use.
+    """
+
+    def __init__(self, column: Sequence[float], bit: int):
+        # column[i] is the payoff at joint action len(column) - 1 - i, so a
+        # "0"/"1" string over it reads as a binary number with bit y for action y
+        half = 1 << bit
+        ones = int(("1" * half + "0" * half) * (len(column) // (2 * half)), 2)
+        super().__init__({inf: (ones ^ ((1 << len(column)) - 1), ones)})
+        levels = sorted(set(column))
+        self.rank = {v: r for r, v in enumerate(levels)}
+        # each action's payoff rank in base 256, one byte string per digit,
+        # most significant first; one digit while there are 256 levels or fewer
+        self.digits = []
+        shift = 0
+        while not self.digits or len(levels) > 1 << shift:
+            digit = {v: r >> shift & 255 for v, r in self.rank.items()}
+            self.digits.insert(0, (shift, bytes(map(digit.__getitem__, column))))
+            shift += 8
+
+    def __missing__(self, v: float) -> tuple[int, int]:
+        r, above, equal = self.rank[v], 0, -1
+        for shift, digits in self.digits:
+            d = r >> shift & 255
+            above |= equal & int(digits.translate(_GREATER[d]), 2)
+            if shift:
+                equal &= int(digits.translate(_EQUAL[d]), 2)
+        stay0, stay1 = self[inf]
+        self[v] = keep = (stay0 | above, stay1 | above)
+        return keep
+
+
+class _LevelSets(dict):
+    """Each strategic player's :class:`_PlayerLevels` by bit, built on first use from a complete matrix."""
 
     def __init__(self, entries: Mapping[int, tuple[float, ...]], columns: tuple[int, ...]):
-        self.entries, self.columns = entries, columns
+        self.entries, self.columns, self.table = entries, columns, None
 
-    def __missing__(self, action: int) -> tuple[float, ...]:
-        if action not in self.entries:
-            raise IncompleteMatrixError(action_to_string(action, len(self.columns)))
-        self[action] = row = tuple(self.entries[action][k] for k in self.columns)
-        return row
+    def __missing__(self, bit: int) -> _PlayerLevels:
+        if self.table is None:  # all payoff columns in one pass, highest action first
+            actions = range((1 << len(self.columns)) - 1, -1, -1)
+            self.table = list(zip(*map(self.entries.__getitem__, actions)))
+        self[bit] = levels = _PlayerLevels(self.table[self.columns[bit]], bit)
+        if len(self) == len(self.columns):
+            self.table = None
+        return levels
 
 
 @dataclass(frozen=True)
@@ -130,7 +178,8 @@ class PayoffMatrix:
         object.__setattr__(self, "_column", {p: k for k, p in enumerate(player_ids)})
         object.__setattr__(self, "_bit", {p: k for k, p in enumerate(av_ids)})
         columns = tuple(map(player_ids.index, av_ids))
-        object.__setattr__(self, "_av_rows", _AvRows(entries, columns))
+        object.__setattr__(self, "_columns", columns)
+        object.__setattr__(self, "_levels", _LevelSets(entries, columns))
         object.__setattr__(self, "_flips", tuple((1 << k, c) for k, c in enumerate(columns)))
 
     @property
@@ -174,7 +223,7 @@ class PayoffMatrix:
         return self.require(action)[self.column(player)]
 
     def av_payoffs(self, action: int) -> tuple[float, ...]:
-        return self._av_rows[action]  # type: ignore[attr-defined]
+        return tuple(map(self.require(action).__getitem__, self._columns))  # type: ignore[attr-defined]
 
     def indicator(self, members: Iterable[int]) -> int:
         """Joint action with exactly the given players on route 1."""
@@ -235,28 +284,33 @@ def _check_enumeration_cap(g: PayoffMatrix) -> None:
         )
 
 
-def _improving_masks(rows: Sequence[tuple[float, ...]] | Mapping[int, tuple[float, ...]],
-                     x: int, pool: int) -> Iterator[int]:
-    """Ascending submasks of ``pool`` whose joint flip from ``x`` strictly improves each member.
+def _check_targets(g: PayoffMatrix, x: int) -> None:
+    """Refuse past the cap, or when ``x`` or one of its deviation targets is unpriced.
 
-    ``rows[a]`` holds the strategic players' payoffs at joint action ``a``.
-    Targets are read in mask order, so callers may stop at the first
-    answer, and on a partial matrix the first missing target is named.
+    An unpriced ``x`` is named first, otherwise the unpriced target
+    ``x ^ c`` with the least ``c``.
     """
-    base = rows[x]
-    c = pool & -pool
-    while c:
-        target = rows[x ^ c]
-        m = c
-        while m:
-            low = m & -m
-            b = low.bit_length() - 1
-            if target[b] <= base[b]:
-                break
-            m ^= low
-        else:
-            yield c
-        c = (c - pool) & pool
+    _check_enumeration_cap(g)
+    g.require(x)
+    if not g.complete:
+        unpriced = set(range(1 << g.n_av)).difference(g.entries)
+        raise IncompleteMatrixError(g.action_string(min(unpriced, key=x.__xor__)))
+
+
+def _improving_targets(g: PayoffMatrix, x: int, fixed: int = 0) -> int:
+    """The joint actions ``y != x`` whose flip ``x ^ y`` strictly improves every mover, as a bitset.
+
+    Player ``b`` may keep its route or move where it earns more than at
+    ``x``; the bits of ``fixed`` must stay. One AND per player, stopping
+    as soon as no target is left. Call :func:`_check_targets` first.
+    """
+    levels, row = g._levels, g.entries[x]  # type: ignore[attr-defined]
+    targets = ~(1 << x)
+    for b, (bit, c) in enumerate(g._flips):  # type: ignore[attr-defined]
+        targets &= levels[b][inf if fixed & bit else row[c]][x >> b & 1]
+        if not targets:
+            break
+    return targets
 
 
 def improving_coalitions(g: PayoffMatrix, x: int) -> frozenset[Coalition]:
@@ -264,12 +318,17 @@ def improving_coalitions(g: PayoffMatrix, x: int) -> frozenset[Coalition]:
 
     Singletons are included, so the result is empty iff ``x`` is a strong
     equilibrium and contains a singleton iff ``x`` is not Nash. Needs the
-    payoffs of ``x`` and of every deviation target; a missing target
-    raises :class:`IncompleteMatrixError` naming it.
+    payoffs of ``x`` and of every deviation target; on a partial matrix
+    :class:`IncompleteMatrixError` names ``x`` or the first unpriced target.
     """
-    _check_enumeration_cap(g)
-    found = _improving_masks(g._av_rows, x, (1 << g.n_av) - 1)  # type: ignore[attr-defined]
-    return frozenset(g.members_of(c) for c in found)
+    _check_targets(g, x)
+    digits = bin(_improving_targets(g, x))[:1:-1]  # digit y is bit y
+    found = []
+    y = digits.find("1")
+    while y >= 0:
+        found.append(g.members_of(x ^ y))
+        y = digits.find("1", y + 1)
+    return frozenset(found)
 
 
 def _flip_gainers(g: PayoffMatrix, x: int, pool: int) -> Iterator[int]:
@@ -306,9 +365,12 @@ def is_nash(g: PayoffMatrix, x: int) -> bool:
 
 
 def is_strong(g: PayoffMatrix, x: int) -> bool:
-    """True iff no coalition of any size can make all its members strictly better off."""
-    _check_enumeration_cap(g)
-    return not any(_improving_masks(g._av_rows, x, (1 << g.n_av) - 1))  # type: ignore[attr-defined]
+    """True iff no coalition of any size can make all its members strictly better off.
+
+    Like :func:`improving_coalitions`, it needs a complete matrix.
+    """
+    _check_targets(g, x)
+    return not _improving_targets(g, x)
 
 
 def find_clubs(g: PayoffMatrix, x0: int = 0) -> frozenset[Coalition]:
@@ -318,9 +380,10 @@ def find_clubs(g: PayoffMatrix, x0: int = 0) -> frozenset[Coalition]:
     not gain alone; at a Nash action that is every improving coalition.
 
     Raises :class:`PreconditionError` when ``x0`` is not Nash: club
-    formation is defined as a joint departure from equilibrium.
+    formation is defined as a joint departure from equilibrium. A
+    partial matrix is refused first, as by :func:`improving_coalitions`.
     """
-    _check_enumeration_cap(g)
+    _check_targets(g, x0)
     if not is_nash(g, x0):
         raise PreconditionError(
             f"joint action {g.action_string(x0)} is not a Nash equilibrium"
@@ -331,22 +394,20 @@ def find_clubs(g: PayoffMatrix, x0: int = 0) -> frozenset[Coalition]:
 def classify_all(g: PayoffMatrix) -> dict[int, EquilibriumClass]:
     """Classify every joint action of a complete matrix.
 
-    The solo gainers settle Nash-ness; the first improving coalition of
-    the other players settles the club flag and strong versus plain
-    Nash. Improving-coalition sets wait for first access.
+    The solo gainers settle Nash-ness. The improving targets that leave
+    every solo gainer in place settle the club flag and strong versus
+    plain Nash. Improving-coalition sets wait for first access.
 
     Per-action work is independent and side effect free, so callers may
     shard the action range across workers and merge; this reference
     implementation runs sequentially.
     """
-    _check_enumeration_cap(g)
+    _check_targets(g, 0)
     full = (1 << g.n_av) - 1
-    # a list names the first missing action and indexes faster than the row cache
-    rows = [g.av_payoffs(a) for a in range(full + 1)]
     result: dict[int, EquilibriumClass] = {}
     for x in range(full + 1):
         solo = sum(_flip_gainers(g, x, full))
-        group = any(_improving_masks(rows, x, full & ~solo))
+        group = _improving_targets(g, x, solo) != 0
         tag = (EquilibriumTag.NOT_NASH if solo else EquilibriumTag.NASH if group
                else EquilibriumTag.STRONG_NASH)
         result[x] = EquilibriumClass(tag=tag, club_found=group, matrix=g, action=x)

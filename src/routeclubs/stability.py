@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
-from .errors import ModelInconsistencyError, PreconditionError
+from .errors import PreconditionError
 from .game import (Coalition, PayoffMatrix, _check_enumeration_cap, _flip_gainers,
                    _unpriced_flips, is_strong)
 
@@ -123,18 +123,10 @@ def build_club_graph(g: PayoffMatrix, root: Iterable[int]) -> ClubGraph:
 def terminal_coalitions(graph: ClubGraph) -> frozenset[Coalition]:
     """Leaves of the growth graph, i.e. coalitions no outsider wants to join.
 
-    Where annotations allow it, verifies that every leaf is either a
-    Nash state or internally unstable, raising
-    :class:`ModelInconsistencyError` on a violation.
+    A leaf has no outside gainer, so a leaf that is not a Nash state has
+    a member who gains by walking out: it is internally unstable.
     """
-    leaves = graph.leaves()
-    for coalition in leaves:
-        node = graph.nodes[coalition]
-        if node.is_nash_state is False and node.internally_stable is True:
-            raise ModelInconsistencyError(
-                f"leaf {sorted(coalition)} is neither a Nash state nor internally unstable"
-            )
-    return leaves
+    return graph.leaves()
 
 
 def se_candidates(g: PayoffMatrix, graph: ClubGraph) -> frozenset[Coalition]:
@@ -142,6 +134,6 @@ def se_candidates(g: PayoffMatrix, graph: ClubGraph) -> frozenset[Coalition]:
     _check_enumeration_cap(g)
     return frozenset(
         coalition
-        for coalition in terminal_coalitions(graph)
+        for coalition in graph.leaves()
         if is_strong(g, g.indicator(coalition))
     )

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import gc
 import random
+import weakref
 
 import pytest
 from hypothesis import given, settings
@@ -257,6 +259,75 @@ class TestCoalitionKernel:
             entries={a: row for a, row in g.entries.items() if a != missing})
         with pytest.raises(IncompleteMatrixError, match=g.action_string(missing)):
             classify_all(partial)
+
+
+def first_unpriced_target(g, x):
+    """x if unpriced, else the unpriced x ^ c with the least mask c."""
+    if x not in g.entries:
+        return x
+    return next(x ^ c for c in range(1, 1 << g.n_av) if x ^ c not in g.entries)
+
+
+class TestLevelSets:
+    @given(tie_heavy_games(), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_partial_matrix_names_the_first_unpriced_target(self, g, data):
+        missing = data.draw(st.sets(st.sampled_from(sorted(g.entries)), min_size=1))
+        partial = PayoffMatrix(
+            n_players=g.n_players, av_ids=g.av_ids,
+            entries={a: row for a, row in g.entries.items() if a not in missing})
+        calls = {"improving_coalitions": improving_coalitions, "is_strong": is_strong,
+                 "find_clubs": find_clubs}
+        for x in range(1 << g.n_av):
+            expected = g.action_string(first_unpriced_target(partial, x))
+            for name, call in calls.items():
+                with pytest.raises(IncompleteMatrixError) as raised:
+                    call(partial, x)
+                assert raised.value.action_label == expected, (name, x)
+        with pytest.raises(IncompleteMatrixError) as raised:
+            classify_all(partial)
+        assert raised.value.action_label == g.action_string(first_unpriced_target(partial, 0))
+
+    def test_many_payoff_levels_match_oracle(self):
+        # 512 actions: players 0-3 take 11 payoff levels, players 4-8 about
+        # 290 of 400, with ties left; past 256 levels a rank takes two bytes
+        rng = random.Random(11)
+        entries = {a: tuple(float(rng.randint(-10, 0) if p < 4 else rng.randint(-400, -1))
+                            for p in range(9)) for a in range(512)}
+        g = PayoffMatrix(n_players=9, av_ids=tuple(range(9)), entries=entries)
+        assert all(len({row[p] for row in entries.values()}) > 256 for p in range(4, 9))
+        result = classify_all(g)
+        for x in rng.sample(range(512), 12):
+            improving = oracle.improving(g, x)
+            assert improving_coalitions(g, x) == improving
+            assert is_strong(g, x) == (not improving)
+            assert result[x].club_found == bool(oracle.clubs(g, x))
+            assert result[x].tag is (EquilibriumTag.NOT_NASH if not oracle.nash(g, x)
+                                     else EquilibriumTag.NASH if improving
+                                     else EquilibriumTag.STRONG_NASH)
+
+    def test_dropped_matrix_and_level_sets_are_collected(self):
+        # the level sets live on the matrix, not in a cache that pins it
+        g = random_game(random.Random(3), n_av=4)
+        classify_all(g)
+        improving_coalitions(g, 5)
+        levels = g._levels
+        assert len(levels) == 4
+        alive, sets = weakref.ref(g), weakref.ref(levels)
+        del g, levels
+        gc.collect()
+        assert alive() is None and sets() is None
+
+    def test_classify_all_reuses_the_level_sets(self):
+        g = random_game(random.Random(4), n_av=4)
+        classify_all(g)
+        levels = g._levels
+        built = {(b, v): keep for b, player in levels.items() for v, keep in player.items()}
+        assert len(built) > len(levels)  # more than each player's route-keeping sets
+        classify_all(g)
+        assert g._levels is levels
+        assert {(b, v): keep for b, player in levels.items() for v, keep in player.items()} == built
+        assert all(levels[b][v] is keep for (b, v), keep in built.items())
 
 
 class TestInvariants:

@@ -178,15 +178,15 @@ class TestTerminals:
             graph = build_club_graph(g, root)
             assert terminal_coalitions(graph) == oracle.leaf_set(g, root)
 
-    def test_every_leaf_is_nash_or_internally_unstable(self):
-        rng = random.Random(17)
-        for _ in range(30):
-            g = random_game(rng, n_av=4)
-            root = frozenset(rng.sample(sorted(g.av_ids), 1))
-            graph = build_club_graph(g, root)
-            for leaf in terminal_coalitions(graph):
-                node = graph.nodes[leaf]
-                assert node.is_nash_state or node.internally_stable is False
+    @given(tie_heavy_games(), st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_every_leaf_is_nash_or_internally_unstable(self, g, data):
+        root = data.draw(st.sets(st.sampled_from(g.av_ids), min_size=1))
+        graph = build_club_graph(g, root)
+        assert terminal_coalitions(graph) == graph.leaves()
+        for leaf in graph.leaves():
+            node = graph.nodes[leaf]
+            assert node.is_nash_state is True or node.internally_stable is False
 
 
 class TestSeCandidates:
