@@ -26,6 +26,12 @@ Each layer is one call on fixed inputs:
   strategic players 0..13. Each call classifies a fresh ``PayoffMatrix``
   of the same entries, so whatever a matrix caches on first use is
   built inside the call, along with the matrix's own row checks;
+- ``save_matrix_n10`` / ``_n12``: write the canonical matrix and the
+  n=12 one above to a file in a temporary directory;
+- ``load_matrix_n10`` / ``_n12``: read those files back, building the
+  ``PayoffMatrix`` and its row checks;
+- ``export_scatter_n10`` / ``_n12``: the scatter CSV of either matrix,
+  from a classification computed beforehand;
 - ``improving_coalitions_x0``: the improving coalitions of the
   canonical all-on-route-0 action, a point query on a matrix that has
   answered it before;
@@ -57,6 +63,7 @@ import platform
 import statistics
 import subprocess
 import sys
+import tempfile
 import time
 from dataclasses import replace
 from itertools import product
@@ -80,10 +87,10 @@ def git_sha() -> str:
     return out.stdout.strip()
 
 
-def layers() -> dict:
-    """Name -> zero-argument call, inputs prepared here and not timed."""
+def layers(workdir: Path) -> dict:
+    """Name -> zero-argument call, inputs prepared here and not timed; files go to ``workdir``."""
     sys.path.insert(0, str(ROOT / "src"))
-    from routeclubs import calibration, formation, stability, traffic
+    from routeclubs import calibration, exports, formation, matrixio, stability, traffic
     from routeclubs.game import (PayoffMatrix, classify_all, find_clubs, improving_coalitions,
                                  is_nash, sort_coalitions)
 
@@ -105,6 +112,10 @@ def layers() -> dict:
     g = traffic.generate_payoff_matrix(cfg)
     g12 = traffic.generate_payoff_matrix(n12)
     g14 = traffic.generate_payoff_matrix(n14)
+    file10, file12 = workdir / "n10.matrix", workdir / "n12.matrix"
+    matrixio.save_matrix(g, file10)
+    matrixio.save_matrix(g12, file12)
+    classes10, classes12 = classify_all(g), classify_all(g12)
     policy = formation.FormationPolicy(leader=min(sort_coalitions(find_clubs(g, 0))[0]))
 
     def fresh(m):
@@ -122,6 +133,12 @@ def layers() -> dict:
         "classify_all_n10": lambda: classify_all(fresh(g)),
         "classify_all_n12": lambda: classify_all(fresh(g12)),
         "classify_all_n14": lambda: classify_all(fresh(g14)),
+        "save_matrix_n10": lambda: matrixio.save_matrix(g, workdir / "save.matrix"),
+        "save_matrix_n12": lambda: matrixio.save_matrix(g12, workdir / "save.matrix"),
+        "load_matrix_n10": lambda: matrixio.load_matrix(file10),
+        "load_matrix_n12": lambda: matrixio.load_matrix(file12),
+        "export_scatter_n10": lambda: exports.export_scatter(g, classes10, workdir / "s.csv"),
+        "export_scatter_n12": lambda: exports.export_scatter(g12, classes12, workdir / "s.csv"),
         "improving_coalitions_x0": lambda: improving_coalitions(g, 0),
         "is_nash_all_n10": lambda: [is_nash(g, x) for x in range(1 << g.n_av)],
         "build_club_graph": lambda: stability.build_club_graph(g, CLUB),
@@ -169,7 +186,8 @@ def main(argv=None) -> int:
     parser.add_argument("--label", required=True, help="names the file BENCH_<label>.json")
     parser.add_argument("--out", default=str(ROOT / "bench"), help="directory to write to")
     args = parser.parse_args(argv)
-    rows, kernel_s = measure(layers())
+    with tempfile.TemporaryDirectory() as workdir:
+        rows, kernel_s = measure(layers(Path(workdir)))
     report = {
         "label": args.label,
         "git_sha": git_sha(),

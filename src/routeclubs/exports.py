@@ -11,7 +11,7 @@ from pathlib import Path
 from typing import Iterable, Mapping
 
 from .errors import PreconditionError
-from .game import Coalition, EquilibriumClass, PayoffMatrix
+from .game import Coalition, EquilibriumClass, PayoffMatrix, action_to_string
 from .stability import ClubGraph
 
 
@@ -61,47 +61,51 @@ def export_scatter(g: PayoffMatrix, classification: Mapping[int, EquilibriumClas
     nobody drives it. Per-group means (humans, strategic players, all)
     use the same normalization.
     """
-    for action in range(1 << g.n_av):
-        g.require(action)
-    missing = [a for a in g.actions() if a not in classification]
-    if missing:
+    n_av = g.n_av
+    n_actions = 1 << n_av
+    if not g.complete:
+        for action in range(n_actions):
+            g.require(action)
+    classes = list(map(classification.get, range(n_actions)))
+    if None in classes:
         raise PreconditionError(
-            f"classification lacks action {g.action_string(missing[0])}")
+            f"classification lacks action {g.action_string(classes.index(None))}")
 
-    humans = [p for p in g.player_ids if p not in set(g.av_ids)]
-    x0_times = [-v for v in g.require(0)]
+    # (column, route-1 bit) of every player in player_ids order, of the
+    # strategic players in av_ids order and by id: the orders the sums run in
+    bit = {p: 1 << k for k, p in enumerate(g.av_ids)}
+    col_bits = [(c, bit.get(p, 0)) for c, p in enumerate(g.player_ids)]
+    av_bits = [(g.player_ids.index(p), bit[p]) for p in g.av_ids]
+    id_bits = sorted(av_bits, key=lambda cb: g.player_ids[cb[0]])
+    human_cols = [c for c, b in col_bits if not b]
+    av_cols = [c for c, _ in av_bits]
+    x0_times = [-v for v in g.entries[0]]
     anchor = sum(x0_times) / len(x0_times)
 
-    def norm(mean: float) -> str:
-        return f"{mean / anchor:.6f}"
+    def norm(total: float, count: int) -> str:
+        return f"{total / count / anchor:.6f}" if count else ""
+
+    def rows():
+        for action, cls in enumerate(classes):
+            times = [-v for v in g.entries[action]]
+            at = times.__getitem__
+            r0 = [c for c, b in col_bits if not action & b]
+            a0 = [c for c, b in av_bits if not action & b]
+            r1 = [c for c, b in id_bits if action & b]
+            # humans never leave route 0, so together with t1 (strategic
+            # players only, by construction) this completes the group-by-
+            # route means
+            yield [action_to_string(action, n_av), len(r0), len(r1),
+                   norm(sum(map(at, r0)), len(r0)),
+                   norm(sum(map(at, r1)), len(r1)),
+                   norm(sum(map(at, a0)), len(a0)),
+                   cls.tag.value, int(cls.club_found),
+                   norm(sum(map(at, human_cols)), len(human_cols)),
+                   norm(sum(map(at, av_cols)), n_av),
+                   norm(sum(times), len(times))]
 
     with open(path, "w", newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow(["action", "q0", "q1", "t0", "t1", "t0_av", "class",
                          "club_found", "human_mean", "av_mean", "all_mean"])
-        for action in range(1 << g.n_av):
-            row = g.require(action)
-            times = {p: -row[g.column(p)] for p in g.player_ids}
-            deviators = g.members_of(action)
-            on_route1 = sorted(deviators)
-            on_route0 = [p for p in g.player_ids if p not in deviators]
-            av_route0 = [p for p in g.av_ids if p not in deviators]
-            q1 = len(on_route1)
-            q0 = len(on_route0)
-            t0 = norm(sum(times[p] for p in on_route0) / q0) if q0 else ""
-            t1 = norm(sum(times[p] for p in on_route1) / q1) if q1 else ""
-            # humans never leave route 0, so together with t1 (strategic
-            # players only, by construction) this completes the group-by-
-            # route means
-            t0_av = (norm(sum(times[p] for p in av_route0) / len(av_route0))
-                     if av_route0 else "")
-            cls = classification[action]
-            human_mean = (norm(sum(times[p] for p in humans) / len(humans))
-                          if humans else "")
-            av_mean = norm(sum(times[p] for p in g.av_ids) / g.n_av)
-            all_mean = norm(sum(times.values()) / g.n_players)
-            writer.writerow([
-                g.action_string(action), q0, q1, t0, t1, t0_av,
-                cls.tag.value, int(cls.club_found),
-                human_mean, av_mean, all_mean,
-            ])
+        writer.writerows(rows())

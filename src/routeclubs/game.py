@@ -15,7 +15,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
-from math import inf
+from itertools import chain
+from math import inf, isfinite
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import IncompleteMatrixError, PreconditionError
@@ -32,14 +33,15 @@ def action_to_string(action: int, n_av: int) -> str:
     """Render a joint action as a '0'/'1' string, lowest bit leftmost."""
     if action < 0 or action >> n_av:
         raise ValueError(f"action {action} out of range for {n_av} strategic players")
-    return "".join("1" if action >> k & 1 else "0" for k in range(n_av))
+    return format(action, f"0{n_av}b")[::-1]
 
 
 def action_from_string(text: str) -> int:
     """Parse the string form produced by :func:`action_to_string`."""
-    if not text or any(ch not in "01" for ch in text):
+    # checked here, never by int(), which also takes "_", "+" and spaces
+    if not text or text.strip("01"):
         raise ValueError(f"malformed action string {text!r}")
-    return sum(1 << k for k, ch in enumerate(text) if ch == "1")
+    return int(text[::-1], 2)
 
 
 def deviate_bits(action: int, bits: Iterable[int], n_av: int) -> int:
@@ -152,26 +154,29 @@ class PayoffMatrix:
             raise ValueError("av_ids must be a subset of player_ids")
         if self.quantum <= 0:
             raise ValueError("quantum must be positive")
+        if not isfinite(self.quantum):
+            raise ValueError("quantum must be finite")
         n_av = len(av_ids)
         entries: dict[int, tuple[float, ...]] = {}
         for action, row in self.entries.items():
             if not 0 <= action < (1 << n_av):
                 raise ValueError(f"action {action} out of range for {n_av} strategic players")
-            # float rows, as load_matrix and generate_payoff_matrix build them,
-            # are kept as given; anything else is converted first
-            if type(row) is tuple and all(type(v) is float for v in row):
-                payoffs = row
-            else:
-                payoffs = tuple(float(v) for v in row)
+            payoffs = row if type(row) is tuple else tuple(row)
             if len(payoffs) != self.n_players:
                 raise ValueError(
                     f"action {action_to_string(action, n_av)} has {len(payoffs)} payoffs, "
                     f"expected {self.n_players}"
                 )
-            for v in payoffs:
-                if not -inf < v <= 0:
-                    raise ValueError(f"payoffs must be finite and <= 0, got {v}")
             entries[action] = payoffs
+        # rows of exact floats, as load_matrix and generate_payoff_matrix
+        # build them, are kept; any other value converts every row
+        if set(map(type, chain.from_iterable(entries.values()))) - {float}:
+            entries = {action: tuple(map(float, row)) for action, row in entries.items()}
+        # each distinct payoff is checked once; on failure the rows are
+        # scanned in order to name the first offending value
+        if not all(-inf < v <= 0 for v in set().union(*entries.values())):
+            bad = next(v for row in entries.values() for v in row if not -inf < v <= 0)
+            raise ValueError(f"payoffs must be finite and <= 0, got {bad}")
         object.__setattr__(self, "player_ids", player_ids)
         object.__setattr__(self, "av_ids", av_ids)
         object.__setattr__(self, "entries", entries)

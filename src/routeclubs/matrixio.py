@@ -13,7 +13,7 @@ from __future__ import annotations
 from pathlib import Path
 
 from .errors import MatrixFormatError
-from .game import PayoffMatrix, action_from_string
+from .game import PayoffMatrix, action_from_string, action_to_string
 
 MAGIC = "routeclubs-matrix 1"
 
@@ -25,6 +25,14 @@ def _format_number(value: float) -> str:
     if float(value).is_integer():
         return str(int(value))
     return repr(float(value))
+
+
+class _Payoffs(dict):
+    """Payoff token -> float, each distinct token parsed once per file."""
+
+    def __missing__(self, token: str) -> float:
+        self[token] = value = float(token)
+        return value
 
 
 def save_matrix(g: PayoffMatrix, path: str | Path) -> None:
@@ -40,9 +48,12 @@ def save_matrix(g: PayoffMatrix, path: str | Path) -> None:
     lines.append(f"partial {'true' if not g.complete else 'false'}")
     lines.append(f"actions {len(g.entries)}")
     lines.append("---")
+    # each distinct payoff formatted once; -0.0 and 0.0 share one key and both print "0"
+    text = {v: _format_number(v) for v in set().union(*g.entries.values())}
+    n_av = g.n_av
     for action in g.actions():
         row = g.entries[action]
-        lines.append(g.action_string(action) + " " + " ".join(_format_number(v) for v in row))
+        lines.append(action_to_string(action, n_av) + " " + " ".join(map(text.__getitem__, row)))
     Path(path).write_text("\n".join(lines) + "\n")
 
 
@@ -93,26 +104,28 @@ def load_matrix(path: str | Path) -> PayoffMatrix:
 
     n_av = len(av_ids)
     entries: dict[int, tuple[float, ...]] = {}
+    payoff = _Payoffs()
     for lineno, raw in enumerate(lines[body_start - 1:], start=body_start):
-        line = raw.strip()
-        if not line:
+        tokens = raw.split()
+        if not tokens:
             continue
-        tokens = line.split()
         action_text = tokens[0]
-        if len(action_text) != n_av or any(ch not in "01" for ch in action_text):
+        try:
+            if len(action_text) != n_av:
+                raise ValueError
+            action = action_from_string(action_text)
+        except ValueError:
             raise MatrixFormatError(
-                f"action string {action_text!r} is not {n_av} chars of 0/1", line=lineno)
-        action = action_from_string(action_text)
+                f"action string {action_text!r} is not {n_av} chars of 0/1", line=lineno) from None
         if action in entries:
             raise MatrixFormatError(f"duplicate action {action_text!r}", line=lineno)
         if len(tokens) - 1 != n_players:
             raise MatrixFormatError(
                 f"row has {len(tokens) - 1} payoffs, expected {n_players}", line=lineno)
         try:
-            payoffs = tuple(map(float, tokens[1:]))
+            entries[action] = tuple(map(payoff.__getitem__, tokens[1:]))
         except ValueError:
             raise MatrixFormatError("malformed payoff number", line=lineno) from None
-        entries[action] = payoffs
 
     if len(entries) != declared_rows:
         raise MatrixFormatError(

@@ -27,7 +27,7 @@ import json
 from dataclasses import asdict, dataclass, replace
 from importlib import resources
 from functools import cached_property
-from math import floor, inf
+from math import floor, inf, isfinite
 from pathlib import Path
 from typing import Literal
 
@@ -117,10 +117,14 @@ class ScenarioConfig:
             raise ValueError("av_ids must lie in [0, n_total)")
         if self.free_flow_r1_to_j <= self.free_flow_r0_to_j:
             raise ValueError("route 1 must be longer than route 0")
-        for name in ("departure_headway", "free_flow_r0_to_j", "free_flow_r1_to_j",
-                     "free_flow_j_to_b", "saturation_headway", "payoff_quantum"):
+        positive = ("departure_headway", "free_flow_r0_to_j", "free_flow_r1_to_j",
+                    "free_flow_j_to_b", "saturation_headway", "payoff_quantum")
+        for name in positive:
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
+        for name in (*positive, "signal_offset"):
+            if not isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
         if self.supply_mode not in ("static", "adaptive"):
             raise ValueError(f"unknown supply mode {self.supply_mode!r}")
         if self.human_slot_period < 1:

@@ -44,6 +44,18 @@ class TestGenerate:
         err = capsys.readouterr().err
         assert err.startswith("error: scenario file") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("value", ["NaN", "Infinity", "-Infinity"])
+    @pytest.mark.parametrize("field", [
+        "departure_headway", "free_flow_r0_to_j", "free_flow_r1_to_j", "free_flow_j_to_b",
+        "saturation_headway", "payoff_quantum", "signal_offset"])
+    def test_non_finite_number_exits_2(self, tmp_path, capsys, field, value):
+        bad = tmp_path / "bad.json"
+        bad.write_text(f'{{"{field}": {value}}}')
+        assert main(["generate", "--config", str(bad), "--out", str(tmp_path / "x")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: scenario file") and err.count("\n") == 1
+        assert not (tmp_path / "x").exists()
+
     def test_past_the_cap_exits_3(self, tmp_path, capsys, scenario):
         from dataclasses import replace
         from routeclubs import MAX_AV_PLAYERS
@@ -79,6 +91,14 @@ class TestAnalyze:
         bad.write_bytes(b"routeclubs-matrix 1\n\xff\xfe\n")
         assert main(["analyze", "--matrix", str(bad)]) == 2
         assert capsys.readouterr().err.count("\n") == 1
+
+
+    @pytest.mark.parametrize("quantum", ["nan", "inf"])
+    def test_non_finite_quantum_exits_2(self, matrix_file, tmp_path, capsys, quantum):
+        bad = tmp_path / "bad.mtx"
+        bad.write_text(matrix_file.read_text().replace("\nquantum 1\n", f"\nquantum {quantum}\n"))
+        assert main(["analyze", "--matrix", str(bad)]) == 2
+        assert capsys.readouterr().err == "error: quantum must be finite\n"
 
 
 class TestGraph:
