@@ -41,7 +41,6 @@ from .stability import (
     ClubGraph,
     ClubNode,
     build_club_graph,
-    is_externally_stable,
     is_internally_stable,
     joiners,
     se_candidates,
@@ -96,7 +95,6 @@ __all__ = [
     "find_clubs",
     "generate_payoff_matrix",
     "improving_coalitions",
-    "is_externally_stable",
     "is_internally_stable",
     "is_nash",
     "is_strong",

@@ -151,8 +151,9 @@ def calibrate(base: ScenarioConfig | None = None,
     stage_fail = {"x0_nash": 0, "x0_av_optimal": 0, "clubs": 0, "formation": 0}
     with_strong = 0
     for values in product(*(grid[n] for n in names)):
-        cfg = replace(base, **dict(zip(names, values)))
-        if cfg.saturation_headway <= 0 or cfg.free_flow_r1_to_j <= cfg.free_flow_r0_to_j:
+        try:
+            cfg = replace(base, **dict(zip(names, values)))
+        except ValueError:  # a point ScenarioConfig refuses
             continue
         tried += 1
         report = evaluate_candidate(cfg)

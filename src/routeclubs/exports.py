@@ -81,6 +81,9 @@ def export_scatter(g: PayoffMatrix, classification: Mapping[int, EquilibriumClas
     av_cols = [c for c, _ in av_bits]
     x0_times = [-v for v in g.entries[0]]
     anchor = sum(x0_times) / len(x0_times)
+    if not anchor:
+        raise PreconditionError("the all-on-route-0 action's mean travel time is zero; "
+                                "the scatter has nothing to normalize by")
 
     def norm(total: float, count: int) -> str:
         return f"{total / count / anchor:.6f}" if count else ""

@@ -20,9 +20,9 @@ from .stability import build_club_graph, se_candidates
 from .traffic import (
     ScenarioConfig,
     SignalPlan,
-    SimOutcome,
     evaluate_lagged_day,
     route1_demand,
+    scenario_hash,
     signal_plan,
 )
 
@@ -107,28 +107,38 @@ def run_formation(cfg: ScenarioConfig, g: PayoffMatrix,
     traffic under yesterday's plan; club members hold their action. The
     replay stops once a full round passes without a switch (event
     ``CONVERGED``) or when ``max_days`` runs out.
+
+    ``g`` must be this scenario's matrix, by ``scenario_hash``. A day
+    is read from it when yesterday's plan is the one today's action
+    calls for, and simulated only when the plan lags a change.
     """
     if cfg.supply_mode != "adaptive":
         raise PreconditionError("formation needs adaptive supply; a static signal admits no clubs")
     if (g.n_players != cfg.n_total or g.av_ids != cfg.av_ids
             or g.player_ids != tuple(range(cfg.n_total))):
         raise PreconditionError("payoff matrix does not match the scenario's players")
+    if g.scenario_hash != scenario_hash(cfg):
+        raise PreconditionError("payoff matrix does not match the scenario")
     if not is_nash(g, 0):
         raise PreconditionError("the all-on-route-0 action is not a Nash equilibrium")
     club = choose_club(g, policy)
 
     records: list[DayRecord] = []
 
-    def record(day: int, action: int, yesterday: int, event: DayEvent,
-               outcome: SimOutcome | None = None, player: int | None = None,
-               from_route: int | None = None, to_route: int | None = None) -> None:
+    def price(today: int, yesterday: int) -> tuple[float, ...]:
+        """Payoffs of today's action under the plan derived from yesterday's."""
         plan = signal_plan(route1_demand(yesterday), cfg.supply_mode)
-        if outcome is None:
-            outcome = evaluate_lagged_day(cfg, action, yesterday)
+        if plan == signal_plan(route1_demand(today), cfg.supply_mode):
+            return g.entries[today]
+        return tuple(-t for t in evaluate_lagged_day(cfg, today, yesterday).travel_times)
+
+    def record(day: int, action: int, yesterday: int, event: DayEvent,
+               player: int | None = None, from_route: int | None = None,
+               to_route: int | None = None) -> None:
         records.append(DayRecord(
-            day=day, action=action, plan=plan,
-            payoffs=tuple(-t for t in outcome.travel_times),
-            event=event, player=player, from_route=from_route, to_route=to_route,
+            day=day, action=action, plan=signal_plan(route1_demand(yesterday), cfg.supply_mode),
+            payoffs=price(action, yesterday), event=event, player=player,
+            from_route=from_route, to_route=to_route,
         ))
 
     x0 = 0
@@ -148,17 +158,13 @@ def run_formation(cfg: ScenarioConfig, g: PayoffMatrix,
             break
         player = free[(day - 3) % len(free)]
         yesterday = records[-1].action
-        bit = 1 << g.bit(player)
-        stay = evaluate_lagged_day(cfg, yesterday, yesterday)
-        flip = evaluate_lagged_day(cfg, yesterday ^ bit, yesterday)
-        if flip.travel_times[player] < stay.travel_times[player]:
-            today, outcome = yesterday ^ bit, flip
-            quiet_days = 0
+        bit = g.bit(player)
+        flipped = yesterday ^ 1 << bit
+        if price(flipped, yesterday)[player] > g.entries[yesterday][player]:
+            today, quiet_days = flipped, 0
         else:
-            today, outcome = yesterday, stay
-            quiet_days += 1
-        record(day, today, yesterday, DayEvent.BEST_RESPONSE, outcome, player=player,
-               from_route=yesterday >> g.bit(player) & 1,
-               to_route=today >> g.bit(player) & 1)
+            today, quiet_days = yesterday, quiet_days + 1
+        record(day, today, yesterday, DayEvent.BEST_RESPONSE, player=player,
+               from_route=yesterday >> bit & 1, to_route=today >> bit & 1)
         day += 1
     return records

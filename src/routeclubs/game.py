@@ -44,16 +44,6 @@ def action_from_string(text: str) -> int:
     return int(text[::-1], 2)
 
 
-def deviate_bits(action: int, bits: Iterable[int], n_av: int) -> int:
-    """Flip the given bit positions of a joint action; an involution."""
-    result = action
-    for b in set(bits):
-        if not 0 <= b < n_av:
-            raise ValueError(f"bit {b} out of range for {n_av} strategic players")
-        result ^= 1 << b
-    return result
-
-
 def sort_coalitions(coalitions: Iterable[Coalition]) -> list[Coalition]:
     """Canonical presentation order for coalition sets (size, then members)."""
     return sorted(coalitions, key=lambda c: (len(c), sorted(c)))
@@ -239,10 +229,6 @@ class PayoffMatrix:
 
     def members_of(self, mask: int) -> Coalition:
         return frozenset(self.av_ids[k] for k in range(self.n_av) if mask >> k & 1)
-
-    def deviate(self, action: int, members: Iterable[int]) -> int:
-        """Flip the route choice of every coalition member; an involution."""
-        return action ^ self.indicator(members)
 
 
 class EquilibriumTag(Enum):

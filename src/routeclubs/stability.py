@@ -71,11 +71,6 @@ def is_internally_stable(g: PayoffMatrix, members: Iterable[int]) -> bool:
     return not any(_flip_gainers(g, x, x))
 
 
-def is_externally_stable(g: PayoffMatrix, members: Iterable[int]) -> bool:
-    """True iff no outsider strictly gains by joining the deviated coalition."""
-    return not joiners(g, members)
-
-
 def joiners(g: PayoffMatrix, members: Iterable[int]) -> frozenset[int]:
     """Outsiders who strictly gain by joining the deviated coalition.
 

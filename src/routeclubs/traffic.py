@@ -108,9 +108,14 @@ class ScenarioConfig:
     human_slot_period: int = 3
 
     def __post_init__(self) -> None:
+        av = tuple(self.av_ids)
+        integers = {"n_total": self.n_total, "human_slot_period": self.human_slot_period}
+        integers.update((f"av_ids[{k}]", p) for k, p in enumerate(av))
+        for name, value in integers.items():
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise ValueError(f"{name} must be an integer")
         if self.n_total < 1:
             raise ValueError("n_total must be at least 1")
-        av = tuple(self.av_ids)
         if not av or len(set(av)) != len(av):
             raise ValueError("av_ids must be non-empty and free of duplicates")
         if not all(0 <= p < self.n_total for p in av):
@@ -129,6 +134,12 @@ class ScenarioConfig:
             raise ValueError(f"unknown supply mode {self.supply_mode!r}")
         if self.human_slot_period < 1:
             raise ValueError("human_slot_period must be at least 1")
+        # no time of a day, counted in payoff quanta, exceeds this bound;
+        # simulate's floor() needs it finite
+        longest = (self.n_total * (self.departure_headway + self.saturation_headway + CYCLE_SECONDS)
+                   + abs(self.signal_offset) + self.free_flow_r1_to_j + self.free_flow_j_to_b)
+        if not isfinite(longest / self.payoff_quantum):
+            raise ValueError("a day's times overflow when counted in payoff quanta")
         object.__setattr__(self, "av_ids", av)
 
     @property
@@ -173,29 +184,9 @@ class ScenarioConfig:
 
 @dataclass(frozen=True)
 class SimOutcome:
-    """Per-vehicle travel times of one day under joint action ``action``.
-
-    The per-route aggregates are derived from the action when read, off
-    the simulation's path; route means are summed in player-id order.
-    """
+    """Per-vehicle travel times of one day, in player-id order."""
 
     travel_times: tuple[float, ...]
-    av_ids: tuple[int, ...]
-    action: int
-
-    @property
-    def route_counts(self) -> tuple[int, int]:
-        on_route1 = self.action.bit_count()
-        return len(self.travel_times) - on_route1, on_route1
-
-    @property
-    def route_mean_times(self) -> tuple[float | None, float | None]:
-        route1 = {p for k, p in enumerate(self.av_ids) if self.action >> k & 1}
-        means = []
-        for r, count in enumerate(self.route_counts):
-            total = sum(t for p, t in enumerate(self.travel_times) if (p in route1) == r)
-            means.append(total / count if count else None)
-        return means[0], means[1]
 
 
 def simulate(cfg: ScenarioConfig, action: int, plan: SignalPlan) -> SimOutcome:
@@ -226,7 +217,7 @@ def simulate(cfg: ScenarioConfig, action: int, plan: SignalPlan) -> SimOutcome:
         discharge = ready if phase < window_len[r] else ready + cycle - phase
         previous[r] = discharge
         times[player] = floor((discharge + exit_leg - departure) / quantum + 0.5) * quantum
-    return SimOutcome(tuple(times), cfg.av_ids, action)
+    return SimOutcome(tuple(times))
 
 
 def route1_demand(action: int) -> int:

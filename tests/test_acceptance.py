@@ -41,7 +41,6 @@ from routeclubs import (
 )
 from routeclubs.fixtures import TABLE1_ROW_MEANS, table1_completed, table1_partial
 from routeclubs.formation import DayEvent, FormationPolicy
-from routeclubs.game import deviate_bits
 from routeclubs.traffic import signal_plan, simulate, static_variant
 
 
@@ -228,13 +227,14 @@ def test_criterion_7_invariant_suite(scenario, adaptive_matrix, static_matrix, t
                     assert is_nash(g, x)
 
         # deviating twice restores the action and touches only the members
+        g = adaptive_matrix
         for _ in range(500):
             action = rng.randrange(1024)
-            members = set(rng.sample(range(10), rng.randint(1, 4)))
-            once = deviate_bits(action, members, 10)
-            assert deviate_bits(once, members, 10) == action
+            members = set(rng.sample(g.av_ids, rng.randint(1, 4)))
+            once = action ^ g.indicator(members)
+            assert once ^ g.indicator(members) == action
             assert all(once >> b & 1 == action >> b & 1
-                       for b in range(10) if b not in members)
+                       for b in range(10) if g.av_ids[b] not in members)
 
         # positive affine rescaling never changes the classification
         from routeclubs import PayoffMatrix

@@ -1,10 +1,18 @@
 from __future__ import annotations
 
+import contextlib
+import io
 import json
+import math
+import tempfile
+from dataclasses import asdict, replace
+from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from routeclubs import load_matrix, save_matrix
+from routeclubs import canonical_scenario, load_matrix, save_matrix
 from routeclubs.cli import main
 from routeclubs.traffic import save_scenario
 
@@ -56,6 +64,18 @@ class TestGenerate:
         assert err.startswith("error: scenario file") and err.count("\n") == 1
         assert not (tmp_path / "x").exists()
 
+    @pytest.mark.parametrize("field,value,name", [
+        ("n_total", "15.0", "n_total"), ("n_total", "true", "n_total"),
+        ("av_ids", "[0.5, 1, 2]", "av_ids[0]"), ("av_ids", "[0, true]", "av_ids[1]"),
+        ("human_slot_period", "Infinity", "human_slot_period"),
+        ("human_slot_period", "2.5", "human_slot_period")])
+    def test_non_integer_field_exits_2(self, tmp_path, capsys, field, value, name):
+        bad = tmp_path / "bad.json"
+        bad.write_text(f'{{"{field}": {value}}}')
+        assert main(["generate", "--config", str(bad), "--out", str(tmp_path / "x")]) == 2
+        assert capsys.readouterr().err == (
+            f"error: scenario file {bad} is invalid: {name} must be an integer\n")
+
     def test_past_the_cap_exits_3(self, tmp_path, capsys, scenario):
         from dataclasses import replace
         from routeclubs import MAX_AV_PLAYERS
@@ -65,6 +85,36 @@ class TestGenerate:
         assert main(["generate", "--config", str(cfg_path), "--out", str(tmp_path / "x")]) == 3
         assert f"cap of 2**{MAX_AV_PLAYERS}" in capsys.readouterr().err
         assert not (tmp_path / "x").exists()
+
+
+# one value of each JSON kind a scenario field might be mistyped as; ints
+# stay small and lists short so that no run nears the enumeration cap
+_ANY_VALUE = st.one_of(
+    st.integers(-3, 40), st.floats(), st.booleans(),
+    st.sampled_from([math.nan, math.inf, -math.inf]),
+    st.text(max_size=5), st.none(),
+    st.lists(st.one_of(st.integers(-2, 20), st.floats(), st.booleans()), max_size=6),
+)
+_FUZZ_BASE = asdict(replace(canonical_scenario(), av_ids=tuple(range(6))))
+
+
+@given(st.dictionaries(st.sampled_from(sorted(_FUZZ_BASE)), _ANY_VALUE, min_size=1))
+@example({"n_total": 15.0})
+@example({"av_ids": [0.5, 1, 2]})
+@example({"human_slot_period": 2.5})
+@example({"departure_headway": 1e308})
+@example({"payoff_quantum": 1e-310})
+@settings(max_examples=300, deadline=None)
+def test_mutated_scenario_exits_cleanly(mutations):
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg_path, out = Path(tmp) / "scenario.json", Path(tmp) / "out.mtx"
+        cfg_path.write_text(json.dumps({**_FUZZ_BASE, **mutations}))
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main(["generate", "--config", str(cfg_path), "--out", str(out)])
+    assert code in (0, 2, 3)
+    if code:
+        assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
 
 
 class TestAnalyze:
@@ -144,6 +194,16 @@ class TestForm:
         assert main(["form", "--config", str(cfg_path), "--matrix", str(matrix_file),
                      "--leader", "7"]) == 3
 
+    def test_matrix_of_another_scenario_exits_3(self, tmp_path, capsys, scenario,
+                                                 static_matrix):
+        # same players, but priced under static supply
+        cfg_path, other = tmp_path / "scenario.json", tmp_path / "static.mtx"
+        save_scenario(scenario, cfg_path)
+        save_matrix(static_matrix, other)
+        assert main(["form", "--config", str(cfg_path), "--matrix", str(other),
+                     "--leader", "7"]) == 3
+        assert capsys.readouterr().err == "error: payoff matrix does not match the scenario\n"
+
     def test_static_mode_exits_3(self, tmp_path, scenario):
         from routeclubs.traffic import static_variant
         cfg_path = tmp_path / "static.json"
@@ -158,3 +218,13 @@ class TestScatter:
         lines = out.read_text().splitlines()
         assert len(lines) == 1025
         assert lines[0].startswith("action,q0,q1,t0,t1,t0_av,class,club_found")
+
+    def test_zero_all_on_route_0_mean_exits_3(self, tmp_path, capsys):
+        matrix = tmp_path / "zero.mtx"
+        matrix.write_text("routeclubs-matrix 1\nn_players 1\nav_ids 0\nquantum 1\n"
+                          "supply_mode static\npartial false\nactions 2\n---\n0 0\n1 -1\n")
+        out = tmp_path / "scatter.csv"
+        assert main(["scatter", "--matrix", str(matrix), "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert "all-on-route-0 action's mean travel time is zero" in err and err.count("\n") == 1
+        assert not out.exists()

@@ -1,11 +1,14 @@
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 
 from routeclubs import (
     DayEvent,
     FormationPolicy,
     PreconditionError,
+    ScenarioConfig,
     TARGET_FIRST,
     TARGET_STABLE,
     choose_club,
@@ -19,6 +22,7 @@ from routeclubs import (
     static_variant,
     terminal_coalitions,
 )
+from routeclubs import formation, generate_payoff_matrix
 from routeclubs.fixtures import table1_completed
 from routeclubs.stability import build_club_graph
 
@@ -151,10 +155,74 @@ class TestRunFormation:
         with pytest.raises(PreconditionError, match="does not match"):
             run_formation(scenario, random_game(random.Random(1)), policy)
 
+    def test_hashless_matrix_is_rejected(self, scenario, adaptive_matrix, first_club):
+        policy = FormationPolicy(leader=min(first_club))
+        with pytest.raises(PreconditionError, match="does not match the scenario$"):
+            run_formation(scenario, replace(adaptive_matrix, scenario_hash=""), policy)
+
     def test_payoffs_recorded_for_every_player(self, days, scenario):
         for record in days:
             assert len(record.payoffs) == scenario.n_total
             assert all(v <= 0 for v in record.payoffs)
+
+
+# DEFAULT_GRID points that calibration accepts, besides the canonical one
+ACCEPTED_GRID_POINTS = (
+    dict(departure_headway=1.0, free_flow_r1_to_j=37.0, saturation_headway=1.5,
+         signal_offset=35.5),
+    dict(departure_headway=0.5, free_flow_r1_to_j=29.0, saturation_headway=1.5,
+         signal_offset=20.5),
+    dict(departure_headway=0.75, free_flow_r1_to_j=26.0, saturation_headway=1.5,
+         signal_offset=27.5),
+)
+
+
+def all_replays(cfg, g):
+    """The replay of every club member as leader, under both policies."""
+    leaders = sorted({p for club in find_clubs(g, 0) for p in club})
+    return [run_formation(cfg, g, FormationPolicy(leader=leader, target_selection=mode))
+            for leader in leaders for mode in (TARGET_FIRST, TARGET_STABLE)]
+
+
+class TestPricingFromTheMatrix:
+    @pytest.fixture(scope="class", params=range(len(ACCEPTED_GRID_POINTS) + 1),
+                    ids=["canonical", "grid0", "grid1", "grid2"])
+    def replays(self, request, scenario, adaptive_matrix):
+        if request.param == 0:
+            return scenario, all_replays(scenario, adaptive_matrix)
+        cfg = replace(ScenarioConfig(), **ACCEPTED_GRID_POINTS[request.param - 1])
+        return cfg, all_replays(cfg, generate_payoff_matrix(cfg))
+
+    def test_payoffs_equal_the_lagged_simulation(self, replays):
+        cfg, runs = replays
+        for days in runs:
+            for yesterday, today in zip([days[0]] + days, days):
+                lagged = evaluate_lagged_day(cfg, today.action, yesterday.action)
+                assert today.payoffs == tuple(-t for t in lagged.travel_times)
+
+    def test_decisions_follow_the_simulated_stay_and_flip(self, replays):
+        cfg, runs = replays
+        for days in runs:
+            for yesterday, today in zip(days, days[1:]):
+                if today.event is not DayEvent.BEST_RESPONSE:
+                    continue
+                x, bit = yesterday.action, 1 << cfg.av_ids.index(today.player)
+                stay = evaluate_lagged_day(cfg, x, x).travel_times[today.player]
+                flip = evaluate_lagged_day(cfg, x ^ bit, x).travel_times[today.player]
+                assert today.action == (x ^ bit if flip < stay else x)
+
+    def test_one_simulation_per_canonical_replay(self, scenario, adaptive_matrix, monkeypatch):
+        calls = []
+        original = formation.evaluate_lagged_day
+        monkeypatch.setattr(formation, "evaluate_lagged_day",
+                            lambda *args: calls.append(args) or original(*args))
+        for leader in (7, 8, 9):
+            for mode in (TARGET_FIRST, TARGET_STABLE):
+                calls.clear()
+                days = run_formation(scenario, adaptive_matrix,
+                                     FormationPolicy(leader=leader, target_selection=mode))
+                # the club's deviation on day 1, under the plan of day 0
+                assert calls == [(scenario, days[1].action, 0)]
 
 
 class TestPolicyValidation:

@@ -26,7 +26,6 @@ from routeclubs import (
     is_strong,
     se_candidates,
 )
-from routeclubs.game import deviate_bits
 
 
 def make_matrix(payoffs_by_string, n_players=None, av_ids=None):
@@ -53,31 +52,34 @@ class TestActionEncoding:
 
 
 class TestDeviate:
-    def test_flips_exactly_the_members(self):
+    # a coalition deviates from x to x ^ g.indicator(members)
+    def test_flips_exactly_the_members(self, adaptive_matrix):
         x = action_from_string("0000000000")
-        assert deviate_bits(x, {1, 5, 6}, 10) == action_from_string("0100011000")
+        assert x ^ adaptive_matrix.indicator({1, 5, 6}) == action_from_string("0100011000")
 
-    def test_involution(self):
-        y = deviate_bits(action_from_string("0100011000"), {1, 5, 6}, 10)
+    def test_involution(self, adaptive_matrix):
+        y = action_from_string("0100011000") ^ adaptive_matrix.indicator({1, 5, 6})
         assert y == 0
 
-    def test_single_flip_from_all_ones(self):
+    def test_single_flip_from_all_ones(self, adaptive_matrix):
         x = action_from_string("1111111111")
-        assert deviate_bits(x, {0}, 10) == action_from_string("0111111111")
+        assert x ^ adaptive_matrix.indicator({0}) == action_from_string("0111111111")
 
-    def test_out_of_range_member(self):
-        with pytest.raises(ValueError, match="out of range"):
-            deviate_bits(0, {10}, 10)
+    def test_out_of_range_member(self, adaptive_matrix):
+        with pytest.raises(ValueError, match="not a strategic player"):
+            adaptive_matrix.indicator({10})
 
     def test_matrix_deviate_maps_player_ids(self, fixture_partial):
         g = fixture_partial
-        assert g.deviate(0, {1, 5, 6}) == g.parse_action("01110")
+        assert 0 ^ g.indicator({1, 5, 6}) == g.parse_action("01110")
         with pytest.raises(ValueError, match="not a strategic player"):
-            g.deviate(0, {3})
+            g.indicator({3})
 
     @given(st.integers(0, 1023), st.sets(st.integers(0, 9)))
-    def test_involution_property(self, action, members):
-        assert deviate_bits(deviate_bits(action, members, 10), members, 10) == action
+    def test_involution_property(self, adaptive_matrix, action, members):
+        once = action ^ adaptive_matrix.indicator(members)
+        assert once == oracle.flip_many(adaptive_matrix, action, members)
+        assert once ^ adaptive_matrix.indicator(members) == action
 
 
 class TestImprovingCoalitions:

@@ -14,7 +14,6 @@ from routeclubs import (
     PreconditionError,
     build_club_graph,
     improving_coalitions,
-    is_externally_stable,
     is_internally_stable,
     is_nash,
     joiners,
@@ -51,24 +50,24 @@ class TestInternalStability:
 class TestExternalStabilityAndJoiners:
     def test_root_club_attracts_zero_and_seven(self, fixture_partial):
         assert joiners(fixture_partial, {1, 5, 6}) == {0, 7}
-        assert not is_externally_stable(fixture_partial, {1, 5, 6})
 
     def test_partial_extension_attracts_zero(self, fixture_partial):
         assert joiners(fixture_partial, {1, 5, 6, 7}) == {0}
 
     def test_terminal_club_attracts_nobody(self, fixture_partial):
         assert joiners(fixture_partial, {0, 1, 5, 6}) == frozenset()
-        assert is_externally_stable(fixture_partial, {0, 1, 5, 6})
 
     def test_full_membership_is_vacuously_stable(self, fixture_partial):
-        assert is_externally_stable(fixture_partial, {0, 1, 5, 6, 7})
+        assert joiners(fixture_partial, {0, 1, 5, 6, 7}) == frozenset()
 
     def test_joiners_empty_iff_externally_stable(self, adaptive_matrix):
         rng = random.Random(3)
         for _ in range(30):
             members = frozenset(rng.sample(range(10), rng.randint(1, 9)))
-            assert (not joiners(adaptive_matrix, members)) == \
-                is_externally_stable(adaptive_matrix, members)
+            found = joiners(adaptive_matrix, members)
+            assert found == oracle.eager_joiners(adaptive_matrix, members)
+            node = build_club_graph(adaptive_matrix, members).nodes[members]
+            assert (not found) == node.externally_stable
 
 
 class TestClubGraph:

@@ -82,8 +82,7 @@ class TestSimulate:
         plan = signal_plan(0, "adaptive")
         out = simulate(cfg, 0, plan)
         assert out.travel_times == (25.0,)
-        assert out.route_counts == (1, 0)
-        assert out.route_mean_times == (25.0, None)
+        assert oracle.simulate(cfg, 0, plan) == ((25.0,), (1, 0), (25.0, None))
 
     def test_single_vehicle_arriving_as_red_starts(self):
         # stop line reached exactly when the west green ends: wait the
@@ -122,9 +121,12 @@ class TestSimulate:
         assert simulate(scenario, 37, plan) == simulate(scenario, 37, plan)
 
     def test_conservation(self, scenario):
-        out = simulate(scenario, 511, signal_plan(9, "adaptive"))
+        plan = signal_plan(9, "adaptive")
+        out = simulate(scenario, 511, plan)
+        times, counts, _ = oracle.simulate(scenario, 511, plan)
         assert len(out.travel_times) == scenario.n_total
-        assert sum(out.route_counts) == scenario.n_total
+        assert out.travel_times == times
+        assert sum(counts) == scenario.n_total
 
     def test_quantization(self):
         cfg = single_vehicle_config(payoff_quantum=10.0, signal_offset=49.0)
@@ -157,8 +159,12 @@ class TestSimulate:
         out = simulate(cfg, action, plan)
         times, counts, means = oracle.simulate(cfg, action, plan)
         assert out.travel_times == times
-        assert out.route_counts == counts
-        assert out.route_mean_times == means
+        # the package keeps no per-route aggregates; derive them from its times
+        route1 = {p for k, p in enumerate(cfg.av_ids) if action >> k & 1}
+        assert counts == (cfg.n_total - len(route1), len(route1))
+        for r, (count, mean) in enumerate(zip(counts, means)):
+            total = sum(t for p, t in enumerate(out.travel_times) if (p in route1) == r)
+            assert mean == (total / count if count else None)
 
     def test_dropped_config_is_collected(self):
         # the departure schedule lives on the config, not in a cache that pins it
