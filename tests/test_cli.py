@@ -101,7 +101,6 @@ _FUZZ_BASE = asdict(replace(canonical_scenario(), av_ids=tuple(range(6))))
 @given(st.dictionaries(st.sampled_from(sorted(_FUZZ_BASE)), _ANY_VALUE, min_size=1))
 @example({"n_total": 15.0})
 @example({"av_ids": [0.5, 1, 2]})
-@example({"human_slot_period": 2.5})
 @example({"departure_headway": 1e308})
 @example({"payoff_quantum": 1e-310})
 @settings(max_examples=300, deadline=None)

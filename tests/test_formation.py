@@ -14,6 +14,8 @@ from routeclubs import (
     choose_club,
     evaluate_lagged_day,
     find_clubs,
+    formation,
+    generate_payoff_matrix,
     improving_coalitions,
     is_nash,
     run_formation,
@@ -22,7 +24,6 @@ from routeclubs import (
     static_variant,
     terminal_coalitions,
 )
-from routeclubs import formation, generate_payoff_matrix
 from routeclubs.fixtures import table1_completed
 from routeclubs.stability import build_club_graph
 
