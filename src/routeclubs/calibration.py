@@ -133,16 +133,9 @@ def evaluate_candidate(cfg: ScenarioConfig) -> CandidateReport:
     )
 
 
-def calibrate(base: ScenarioConfig | None = None,
-              grid: dict[str, Sequence[float]] | None = None,
-              stop_after: int | None = None,
+def calibrate(grid: dict[str, Sequence[float]] | None = None,
               ) -> tuple[CandidateReport | None, dict]:
-    """Scan the grid; return the best accepted candidate and a report.
-
-    ``stop_after`` caps the number of accepted candidates collected
-    before ranking (None scans the whole grid).
-    """
-    base = base or ScenarioConfig()
+    """Scan the grid over the default scenario; return the best accepted candidate and a report."""
     grid = grid or DEFAULT_GRID
     names = sorted(grid)
     started = time.perf_counter()
@@ -152,7 +145,7 @@ def calibrate(base: ScenarioConfig | None = None,
     with_strong = 0
     for values in product(*(grid[n] for n in names)):
         try:
-            cfg = replace(base, **dict(zip(names, values)))
+            cfg = replace(ScenarioConfig(), **dict(zip(names, values)))
         except ValueError:  # a point ScenarioConfig refuses
             continue
         tried += 1
@@ -172,8 +165,6 @@ def calibrate(base: ScenarioConfig | None = None,
         accepted.append(report)
         if report.strong_actions:
             with_strong += 1
-        if stop_after is not None and len(accepted) >= stop_after:
-            break
     best = max(accepted, key=CandidateReport.score) if accepted else None
     summary = {
         "grid": {n: list(grid[n]) for n in names},

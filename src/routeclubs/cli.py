@@ -18,7 +18,8 @@ from dataclasses import replace
 
 from .errors import FormatError, PreconditionError
 from .exports import export_dot, export_scatter
-from .formation import TARGET_FIRST, TARGET_STABLE, DayEvent, FormationPolicy, run_formation
+from .formation import (TARGET_FIRST, TARGET_STABLE, DayEvent, FormationPolicy,
+                        _check_scenario, run_formation)
 from .game import EquilibriumTag, classify_all, find_clubs, sort_coalitions
 from .matrixio import load_matrix, save_matrix
 from .stability import build_club_graph, se_candidates
@@ -108,6 +109,7 @@ def cmd_form(args) -> int:
         g = load_matrix(args.matrix)
     else:
         g = generate_payoff_matrix(cfg)
+    _check_scenario(cfg, g)
     if args.leader is not None:
         leader = args.leader
     else:

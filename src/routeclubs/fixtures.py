@@ -15,17 +15,6 @@ from importlib import resources
 from .game import PayoffMatrix
 from .matrixio import complete_with_fill, load_matrix
 
-# Mean payoff over all ten strategic players of the full scenario, as
-# recorded alongside the fixture rows; not recomputable from the five
-# stored columns.
-TABLE1_ROW_MEANS = {
-    "00000": -48.3,
-    "01110": -56.6,
-    "01111": -55.8,
-    "11111": -55.1,
-    "11110": -54.4,
-}
-
 TABLE1_ROOT_CLUB = frozenset({1, 5, 6})
 
 
@@ -37,11 +26,11 @@ def table1_partial() -> PayoffMatrix:
         return load_matrix(path)
 
 
-def table1_completed(fill: float = -999.0) -> PayoffMatrix:
-    """The fixture completed with a uniform strongly negative fill.
+def table1_completed() -> PayoffMatrix:
+    """The fixture completed with a uniform strongly negative fill (-999).
 
     The fill keeps every unobserved deviation unattractive, so the
     stability labels implied by the observed rows hold over the full
     action space and can be checked by complete-matrix operations.
     """
-    return complete_with_fill(table1_partial(), fill=fill)
+    return complete_with_fill(table1_partial())

@@ -15,7 +15,7 @@ from enum import Enum
 from typing import Literal
 
 from .errors import PreconditionError
-from .game import Coalition, PayoffMatrix, find_clubs, is_nash, sort_coalitions
+from .game import Coalition, PayoffMatrix, find_clubs, sort_coalitions
 from .stability import build_club_graph, se_candidates
 from .traffic import (
     ScenarioConfig,
@@ -96,6 +96,17 @@ def choose_club(g: PayoffMatrix, policy: FormationPolicy) -> Coalition:
     return root
 
 
+def _check_scenario(cfg: ScenarioConfig, g: PayoffMatrix) -> None:
+    """Refuse static supply, and a matrix that is not this scenario's own."""
+    if cfg.supply_mode != "adaptive":
+        raise PreconditionError("formation needs adaptive supply; a static signal admits no clubs")
+    if (g.n_players != cfg.n_total or g.av_ids != cfg.av_ids
+            or g.player_ids != tuple(range(cfg.n_total))):
+        raise PreconditionError("payoff matrix does not match the scenario's players")
+    if g.scenario_hash != scenario_hash(cfg):
+        raise PreconditionError("payoff matrix does not match the scenario")
+
+
 def run_formation(cfg: ScenarioConfig, g: PayoffMatrix,
                   policy: FormationPolicy) -> list[DayRecord]:
     """Replay the formation process as a list of day records.
@@ -110,17 +121,10 @@ def run_formation(cfg: ScenarioConfig, g: PayoffMatrix,
 
     ``g`` must be this scenario's matrix, by ``scenario_hash``. A day
     is read from it when yesterday's plan is the one today's action
-    calls for, and simulated only when the plan lags a change.
+    calls for, and simulated only when the plan lags a change. Like
+    :func:`find_clubs`, it refuses a day 0 that is not Nash.
     """
-    if cfg.supply_mode != "adaptive":
-        raise PreconditionError("formation needs adaptive supply; a static signal admits no clubs")
-    if (g.n_players != cfg.n_total or g.av_ids != cfg.av_ids
-            or g.player_ids != tuple(range(cfg.n_total))):
-        raise PreconditionError("payoff matrix does not match the scenario's players")
-    if g.scenario_hash != scenario_hash(cfg):
-        raise PreconditionError("payoff matrix does not match the scenario")
-    if not is_nash(g, 0):
-        raise PreconditionError("the all-on-route-0 action is not a Nash equilibrium")
+    _check_scenario(cfg, g)
     club = choose_club(g, policy)
 
     records: list[DayRecord] = []

@@ -93,22 +93,6 @@ class _PlayerLevels(dict):
         return keep
 
 
-class _LevelSets(dict):
-    """Each strategic player's :class:`_PlayerLevels` by bit, built on first use from a complete matrix."""
-
-    def __init__(self, entries: Mapping[int, tuple[float, ...]], columns: tuple[int, ...]):
-        self.entries, self.columns, self.table = entries, columns, None
-
-    def __missing__(self, bit: int) -> _PlayerLevels:
-        if self.table is None:  # all payoff columns in one pass, highest action first
-            actions = range((1 << len(self.columns)) - 1, -1, -1)
-            self.table = list(zip(*map(self.entries.__getitem__, actions)))
-        self[bit] = levels = _PlayerLevels(self.table[self.columns[bit]], bit)
-        if len(self) == len(self.columns):
-            self.table = None
-        return levels
-
-
 @dataclass(frozen=True)
 class PayoffMatrix:
     """Deterministic payoff table of a binary routing game.
@@ -174,7 +158,6 @@ class PayoffMatrix:
         object.__setattr__(self, "_bit", {p: k for k, p in enumerate(av_ids)})
         columns = tuple(map(player_ids.index, av_ids))
         object.__setattr__(self, "_columns", columns)
-        object.__setattr__(self, "_levels", _LevelSets(entries, columns))
         object.__setattr__(self, "_flips", tuple((1 << k, c) for k, c in enumerate(columns)))
 
     @property
@@ -190,11 +173,6 @@ class PayoffMatrix:
 
     def action_string(self, action: int) -> str:
         return action_to_string(action, self.n_av)
-
-    def parse_action(self, text: str) -> int:
-        if len(text) != self.n_av:
-            raise ValueError(f"action string {text!r} must have length {self.n_av}")
-        return action_from_string(text)
 
     def require(self, action: int) -> tuple[float, ...]:
         try:
@@ -229,6 +207,17 @@ class PayoffMatrix:
 
     def members_of(self, mask: int) -> Coalition:
         return frozenset(self.av_ids[k] for k in range(self.n_av) if mask >> k & 1)
+
+    @cached_property
+    def _levels(self) -> tuple[_PlayerLevels, ...]:
+        """Each strategic player's :class:`_PlayerLevels` by bit, built together on first use.
+
+        Needs a complete matrix. All payoff columns come from one pass over
+        the rows, highest action first.
+        """
+        actions = range((1 << self.n_av) - 1, -1, -1)
+        table = list(zip(*map(self.entries.__getitem__, actions)))
+        return tuple(_PlayerLevels(table[c], b) for b, c in enumerate(self._columns))  # type: ignore[attr-defined]
 
 
 class EquilibriumTag(Enum):
@@ -268,20 +257,16 @@ class EquilibriumClass:
         return hash(self._key())
 
 
-def _check_enumeration_cap(g: PayoffMatrix) -> None:
-    if g.n_av > MAX_AV_PLAYERS:
-        raise PreconditionError(
-            f"enumeration over {g.n_av} strategic players exceeds the cap of {MAX_AV_PLAYERS}"
-        )
-
-
 def _check_targets(g: PayoffMatrix, x: int) -> None:
     """Refuse past the cap, or when ``x`` or one of its deviation targets is unpriced.
 
     An unpriced ``x`` is named first, otherwise the unpriced target
     ``x ^ c`` with the least ``c``.
     """
-    _check_enumeration_cap(g)
+    if g.n_av > MAX_AV_PLAYERS:
+        raise PreconditionError(
+            f"enumeration over {g.n_av} strategic players exceeds the cap of {MAX_AV_PLAYERS}"
+        )
     g.require(x)
     if not g.complete:
         unpriced = set(range(1 << g.n_av)).difference(g.entries)
@@ -292,15 +277,15 @@ def _improving_targets(g: PayoffMatrix, x: int, fixed: int = 0) -> int:
     """The joint actions ``y != x`` whose flip ``x ^ y`` strictly improves every mover, as a bitset.
 
     Player ``b`` may keep its route or move where it earns more than at
-    ``x``; the bits of ``fixed`` must stay. One AND per player, stopping
-    as soon as no target is left. Call :func:`_check_targets` first.
+    ``x``; the bits of ``fixed`` must stay. One AND per player. Each
+    player's set holds every action that agrees with ``x`` on its bit, so
+    no AND but the last can empty the chain. Call :func:`_check_targets`
+    first.
     """
-    levels, row = g._levels, g.entries[x]  # type: ignore[attr-defined]
+    levels, row = g._levels, g.entries[x]
     targets = ~(1 << x)
     for b, (bit, c) in enumerate(g._flips):  # type: ignore[attr-defined]
         targets &= levels[b][inf if fixed & bit else row[c]][x >> b & 1]
-        if not targets:
-            break
     return targets
 
 

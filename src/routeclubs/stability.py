@@ -13,8 +13,7 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping
 
 from .errors import PreconditionError
-from .game import (Coalition, PayoffMatrix, _check_enumeration_cap, _flip_gainers,
-                   _unpriced_flips, is_strong)
+from .game import Coalition, PayoffMatrix, _flip_gainers, _unpriced_flips, is_strong
 
 
 @dataclass(frozen=True)
@@ -126,7 +125,6 @@ def terminal_coalitions(graph: ClubGraph) -> frozenset[Coalition]:
 
 def se_candidates(g: PayoffMatrix, graph: ClubGraph) -> frozenset[Coalition]:
     """Leaves whose deviated action no coalition whatsoever can improve upon."""
-    _check_enumeration_cap(g)
     return frozenset(
         coalition
         for coalition in graph.leaves()

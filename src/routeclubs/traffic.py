@@ -29,7 +29,7 @@ from importlib import resources
 from functools import cached_property
 from math import floor, inf, isfinite
 from pathlib import Path
-from typing import Literal
+from typing import ClassVar, Literal
 
 from .errors import FormatError, PreconditionError
 from .game import MAX_AV_PLAYERS, PayoffMatrix
@@ -51,8 +51,8 @@ class SignalPlan:
 
     green_west: float
     green_south: float
-    cycle: float = CYCLE_SECONDS
-    intergreen: float = INTERGREEN_SECONDS
+    cycle: ClassVar[float] = CYCLE_SECONDS
+    intergreen: ClassVar[float] = INTERGREEN_SECONDS
 
     def __post_init__(self) -> None:
         if min(self.green_west, self.green_south) <= 0:
@@ -120,10 +120,13 @@ class ScenarioConfig:
             raise ValueError("av_ids must be non-empty and free of duplicates")
         if not all(0 <= p < self.n_total for p in av):
             raise ValueError("av_ids must lie in [0, n_total)")
-        if self.free_flow_r1_to_j <= self.free_flow_r0_to_j:
-            raise ValueError("route 1 must be longer than route 0")
         positive = ("departure_headway", "free_flow_r0_to_j", "free_flow_r1_to_j",
                     "free_flow_j_to_b", "saturation_headway", "payoff_quantum")
+        for name in (*positive, "signal_offset"):
+            if isinstance(getattr(self, name), bool):
+                raise ValueError(f"{name} must be a number")
+        if self.free_flow_r1_to_j <= self.free_flow_r0_to_j:
+            raise ValueError("route 1 must be longer than route 0")
         for name in positive:
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
@@ -146,40 +149,26 @@ class ScenarioConfig:
     def n_av(self) -> int:
         return len(self.av_ids)
 
-    def departure_order(self) -> tuple[int, ...]:
-        """Player id occupying each departure slot, earliest slot first."""
-        strategic = set(self.av_ids)
-        humans = [p for p in range(self.n_total) if p not in strategic]
-        avs = self.av_ids
-        order = []
-        h = a = 0
-        for slot in range(self.n_total):
-            human_turn = h < len(humans) and (slot + 1) % self.human_slot_period == 0
-            if human_turn or a == len(avs):
-                order.append(humans[h])
-                h += 1
-            else:
-                order.append(avs[a])
-                a += 1
-        return tuple(order)
-
     @cached_property
     def schedule(self) -> tuple[tuple[int, float, int], ...]:
         """``(player, departure time, strategic bit or -1)`` per slot, earliest first.
 
-        Built on first use and kept on the instance, so it lives exactly
-        as long as the config does.
+        Every ``human_slot_period``-th slot goes to the next human while
+        humans remain, the others to the strategic players in ``av_ids``
+        order. Built on first use and kept on the instance, so it lives
+        exactly as long as the config does.
         """
         bit = {p: k for k, p in enumerate(self.av_ids)}
-        return tuple((player, slot * self.departure_headway, bit.get(player, -1))
-                     for slot, player in enumerate(self.departure_order()))
-
-    def departure_times(self) -> tuple[float, ...]:
-        """Departure time per player id."""
-        times = [0.0] * self.n_total
-        for player, departure, _ in self.schedule:
-            times[player] = departure
-        return tuple(times)
+        humans = [p for p in range(self.n_total) if p not in bit]
+        h = a = 0
+        slots = []
+        for slot in range(self.n_total):
+            if h < len(humans) and ((slot + 1) % self.human_slot_period == 0 or a == self.n_av):
+                player, h = humans[h], h + 1
+            else:
+                player, a = self.av_ids[a], a + 1
+            slots.append((player, slot * self.departure_headway, bit.get(player, -1)))
+        return tuple(slots)
 
 
 @dataclass(frozen=True)

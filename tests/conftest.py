@@ -8,6 +8,17 @@ from routeclubs import PayoffMatrix, generate_payoff_matrix, static_variant
 from routeclubs.fixtures import table1_completed, table1_partial
 from routeclubs.traffic import canonical_scenario
 
+# Mean payoff over all ten strategic players of the full scenario, as
+# recorded alongside the bundled Table 1 fixture rows; not recomputable
+# from the five stored columns.
+TABLE1_ROW_MEANS = {
+    "00000": -48.3,
+    "01110": -56.6,
+    "01111": -55.8,
+    "11111": -55.1,
+    "11110": -54.4,
+}
+
 
 @pytest.fixture(scope="session")
 def fixture_partial() -> PayoffMatrix:

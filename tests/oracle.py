@@ -20,7 +20,7 @@ def flip_one(g, action, player):
     text = list(g.action_string(action))
     k = list(g.av_ids).index(player)
     text[k] = "0" if text[k] == "1" else "1"
-    return g.parse_action("".join(text))
+    return sum(1 << i for i, digit in enumerate(text) if digit == "1")
 
 
 def flip_many(g, action, players):

@@ -20,9 +20,10 @@ from importlib import resources
 import pytest
 
 import oracle
-from conftest import random_game
+from conftest import TABLE1_ROW_MEANS, random_game
 from routeclubs import (
     EquilibriumTag,
+    action_from_string,
     build_club_graph,
     classify_all,
     export_scatter,
@@ -39,7 +40,7 @@ from routeclubs import (
     se_candidates,
     terminal_coalitions,
 )
-from routeclubs.fixtures import TABLE1_ROW_MEANS, table1_completed, table1_partial
+from routeclubs.fixtures import table1_completed, table1_partial
 from routeclubs.formation import DayEvent, FormationPolicy
 from routeclubs.traffic import signal_plan, simulate, static_variant
 
@@ -176,7 +177,8 @@ def test_criterion_5_full_classification(adaptive_matrix, static_matrix, tmp_pat
             "none, and re-freezing the calibration records a new count")
 
         for row in rows:
-            action = g.parse_action(row["action"])
+            assert len(row["action"]) == g.n_av
+            action = action_from_string(row["action"])
             assert row["class"] == classification[action].tag.value, (
                 f"scatter row {row['action']} has class {row['class']}")
 

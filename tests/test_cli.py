@@ -17,6 +17,11 @@ from routeclubs.cli import main
 from routeclubs.traffic import save_scenario
 
 
+# the scenario fields that hold real numbers
+_NUMBER_FIELDS = ("departure_headway", "free_flow_r0_to_j", "free_flow_r1_to_j", "free_flow_j_to_b",
+                  "saturation_headway", "payoff_quantum", "signal_offset")
+
+
 @pytest.fixture(scope="module")
 def matrix_file(tmp_path_factory, adaptive_matrix):
     path = tmp_path_factory.mktemp("cli") / "matrix.mtx"
@@ -53,15 +58,23 @@ class TestGenerate:
         assert err.startswith("error: scenario file") and err.count("\n") == 1
 
     @pytest.mark.parametrize("value", ["NaN", "Infinity", "-Infinity"])
-    @pytest.mark.parametrize("field", [
-        "departure_headway", "free_flow_r0_to_j", "free_flow_r1_to_j", "free_flow_j_to_b",
-        "saturation_headway", "payoff_quantum", "signal_offset"])
+    @pytest.mark.parametrize("field", _NUMBER_FIELDS)
     def test_non_finite_number_exits_2(self, tmp_path, capsys, field, value):
         bad = tmp_path / "bad.json"
         bad.write_text(f'{{"{field}": {value}}}')
         assert main(["generate", "--config", str(bad), "--out", str(tmp_path / "x")]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: scenario file") and err.count("\n") == 1
+        assert not (tmp_path / "x").exists()
+
+    @pytest.mark.parametrize("value", ["true", "false"])
+    @pytest.mark.parametrize("field", _NUMBER_FIELDS)
+    def test_boolean_number_exits_2(self, tmp_path, capsys, field, value):
+        bad = tmp_path / "bad.json"
+        bad.write_text(f'{{"{field}": {value}}}')
+        assert main(["generate", "--config", str(bad), "--out", str(tmp_path / "x")]) == 2
+        assert capsys.readouterr().err == (
+            f"error: scenario file {bad} is invalid: {field} must be a number\n")
         assert not (tmp_path / "x").exists()
 
     @pytest.mark.parametrize("field,value,name", [
@@ -193,14 +206,16 @@ class TestForm:
         assert main(["form", "--config", str(cfg_path), "--matrix", str(matrix_file),
                      "--leader", "7"]) == 3
 
+    @pytest.mark.parametrize("leader", [["--leader", "7"], []],
+                             ids=["with_leader", "without_leader"])
     def test_matrix_of_another_scenario_exits_3(self, tmp_path, capsys, scenario,
-                                                 static_matrix):
-        # same players, but priced under static supply
+                                                 static_matrix, leader):
+        # same players, but priced under static supply; without a leader the
+        # check must come before the club search, which finds none here
         cfg_path, other = tmp_path / "scenario.json", tmp_path / "static.mtx"
         save_scenario(scenario, cfg_path)
         save_matrix(static_matrix, other)
-        assert main(["form", "--config", str(cfg_path), "--matrix", str(other),
-                     "--leader", "7"]) == 3
+        assert main(["form", "--config", str(cfg_path), "--matrix", str(other), *leader]) == 3
         assert capsys.readouterr().err == "error: payoff matrix does not match the scenario\n"
 
     def test_static_mode_exits_3(self, tmp_path, scenario):

@@ -6,6 +6,7 @@ import pytest
 
 from routeclubs import (
     PreconditionError,
+    action_from_string,
     build_club_graph,
     classify_all,
     export_dot,
@@ -77,7 +78,8 @@ class TestExportScatter:
     def test_club_flags_match(self, scatter_rows, adaptive_matrix):
         rows, classification = scatter_rows
         for row in rows:
-            action = adaptive_matrix.parse_action(row["action"])
+            assert len(row["action"]) == adaptive_matrix.n_av
+            action = action_from_string(row["action"])
             assert row["club_found"] == str(int(classification[action].club_found))
 
     def test_route_counts_sum_to_players(self, scatter_rows):

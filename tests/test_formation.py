@@ -156,6 +156,16 @@ class TestRunFormation:
         with pytest.raises(PreconditionError, match="does not match"):
             run_formation(scenario, random_game(random.Random(1)), policy)
 
+    def test_non_nash_day_zero_is_rejected(self):
+        # a DEFAULT_GRID point that calibration's quick check rejects
+        cfg = replace(ScenarioConfig(), departure_headway=0.5, free_flow_r1_to_j=21.0,
+                      saturation_headway=1.5, signal_offset=0.0)
+        g = generate_payoff_matrix(cfg)
+        assert not is_nash(g, 0)
+        with pytest.raises(PreconditionError,
+                           match="^joint action 0000000000 is not a Nash equilibrium$"):
+            run_formation(cfg, g, FormationPolicy(leader=0))
+
     def test_hashless_matrix_is_rejected(self, scenario, adaptive_matrix, first_club):
         policy = FormationPolicy(leader=min(first_club))
         with pytest.raises(PreconditionError, match="does not match the scenario$"):

@@ -71,7 +71,7 @@ class TestDeviate:
 
     def test_matrix_deviate_maps_player_ids(self, fixture_partial):
         g = fixture_partial
-        assert 0 ^ g.indicator({1, 5, 6}) == g.parse_action("01110")
+        assert 0 ^ g.indicator({1, 5, 6}) == action_from_string("01110")
         with pytest.raises(ValueError, match="not a strategic player"):
             g.indicator({3})
 
@@ -315,20 +315,20 @@ class TestLevelSets:
         improving_coalitions(g, 5)
         levels = g._levels
         assert len(levels) == 4
-        alive, sets = weakref.ref(g), weakref.ref(levels)
+        alive, sets = weakref.ref(g), [weakref.ref(player) for player in levels]
         del g, levels
         gc.collect()
-        assert alive() is None and sets() is None
+        assert alive() is None and all(player() is None for player in sets)
 
     def test_classify_all_reuses_the_level_sets(self):
         g = random_game(random.Random(4), n_av=4)
         classify_all(g)
         levels = g._levels
-        built = {(b, v): keep for b, player in levels.items() for v, keep in player.items()}
+        built = {(b, v): keep for b, player in enumerate(levels) for v, keep in player.items()}
         assert len(built) > len(levels)  # more than each player's route-keeping sets
         classify_all(g)
         assert g._levels is levels
-        assert {(b, v): keep for b, player in levels.items() for v, keep in player.items()} == built
+        assert {(b, v): keep for b, player in enumerate(levels) for v, keep in player.items()} == built
         assert all(levels[b][v] is keep for (b, v), keep in built.items())
 
 

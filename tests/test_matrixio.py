@@ -8,15 +8,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracle
-from conftest import random_game
+from conftest import TABLE1_ROW_MEANS, random_game
 from routeclubs import (
     MatrixFormatError,
     PayoffMatrix,
+    action_from_string,
     complete_with_fill,
     load_matrix,
     save_matrix,
 )
-from routeclubs.fixtures import TABLE1_ROW_MEANS
 
 
 class TestRoundTrip:
@@ -62,7 +62,7 @@ class TestBundledFixture:
     def test_known_rows(self, fixture_partial):
         g = fixture_partial
         assert g.require(0) == (-27, -58, -59, -59, -51)
-        assert g.require(g.parse_action("11110")) == (-53, -53, -53, -57, -60)
+        assert g.require(action_from_string("11110")) == (-53, -53, -53, -57, -60)
 
     def test_row_means_cover_every_stored_action(self, fixture_partial):
         stored = {fixture_partial.action_string(a) for a in fixture_partial.actions()}

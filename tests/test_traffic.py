@@ -59,10 +59,17 @@ class TestSignalPlan:
             plan = signal_plan(demand, "adaptive")
             assert plan.green_west + plan.green_south + 2 * plan.intergreen == plan.cycle
 
+    def test_built_plan_must_fill_the_fixed_cycle(self):
+        assert (SignalPlan(30.0, 10.0).cycle, SignalPlan(30.0, 10.0).intergreen) == (50.0, 5.0)
+        with pytest.raises(ValueError, match="fill the cycle"):
+            SignalPlan(21.0, 20.0)
+        with pytest.raises(TypeError):  # the cycle and intergreens are constants
+            SignalPlan(21.0, 19.0, 60.0)
+
 
 class TestScenarioConfig:
     def test_default_interleave_every_third_departure_human(self):
-        order = ScenarioConfig().departure_order()
+        order = [player for player, _, _ in ScenarioConfig().schedule]
         human_slots = [slot for slot, player in enumerate(order) if player >= 10]
         assert human_slots == [2, 5, 8, 11, 14]
         assert [p for p in order if p < 10] == list(range(10))
@@ -107,7 +114,7 @@ class TestSimulate:
         plan = signal_plan(3, "adaptive")
         for action in (0, 7, 21, 1023):
             out = simulate(scenario, action, plan)
-            departures = scenario.departure_times()
+            departures = {player: t for player, t, _ in scenario.schedule}
             for r in (0, 1):
                 on_route = [p for p in range(scenario.n_total)
                             if (p in scenario.av_ids
@@ -177,7 +184,7 @@ class TestSimulate:
 
     def test_queue_builds_from_first_to_last_departure(self, scenario):
         out = simulate(scenario, 0, signal_plan(0, scenario.supply_mode))
-        departures = scenario.departure_times()
+        departures = {player: t for player, t, _ in scenario.schedule}
         order = sorted(range(scenario.n_total), key=lambda p: departures[p])
         assert out.travel_times[order[0]] < out.travel_times[order[-1]]
 
