@@ -158,6 +158,7 @@ class PayoffMatrix:
         object.__setattr__(self, "_bit", {p: k for k, p in enumerate(av_ids)})
         columns = tuple(map(player_ids.index, av_ids))
         object.__setattr__(self, "_columns", columns)
+        object.__setattr__(self, "_levels", None)  # set by _level_sets on first use
         object.__setattr__(self, "_flips", tuple((1 << k, c) for k, c in enumerate(columns)))
 
     @property
@@ -208,16 +209,20 @@ class PayoffMatrix:
     def members_of(self, mask: int) -> Coalition:
         return frozenset(self.av_ids[k] for k in range(self.n_av) if mask >> k & 1)
 
-    @cached_property
-    def _levels(self) -> tuple[_PlayerLevels, ...]:
+    def _level_sets(self) -> tuple[_PlayerLevels, ...]:
         """Each strategic player's :class:`_PlayerLevels` by bit, built together on first use.
 
         Needs a complete matrix. All payoff columns come from one pass over
-        the rows, highest action first.
+        the rows, highest action first. Not a ``functools.cached_property``:
+        that writes through ``__dict__``, which in CPython 3.11 slows every
+        later attribute read on the matrix.
         """
-        actions = range((1 << self.n_av) - 1, -1, -1)
-        table = list(zip(*map(self.entries.__getitem__, actions)))
-        return tuple(_PlayerLevels(table[c], b) for b, c in enumerate(self._columns))  # type: ignore[attr-defined]
+        if self._levels is None:  # type: ignore[attr-defined]
+            actions = range((1 << self.n_av) - 1, -1, -1)
+            table = list(zip(*map(self.entries.__getitem__, actions)))
+            object.__setattr__(self, "_levels", tuple(
+                _PlayerLevels(table[c], b) for b, c in enumerate(self._columns)))  # type: ignore[attr-defined]
+        return self._levels  # type: ignore[attr-defined]
 
 
 class EquilibriumTag(Enum):
@@ -282,7 +287,7 @@ def _improving_targets(g: PayoffMatrix, x: int, fixed: int = 0) -> int:
     no AND but the last can empty the chain. Call :func:`_check_targets`
     first.
     """
-    levels, row = g._levels, g.entries[x]
+    levels, row = g._level_sets(), g.entries[x]
     targets = ~(1 << x)
     for b, (bit, c) in enumerate(g._flips):  # type: ignore[attr-defined]
         targets &= levels[b][inf if fixed & bit else row[c]][x >> b & 1]
