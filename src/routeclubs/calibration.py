@@ -133,8 +133,7 @@ def evaluate_candidate(cfg: ScenarioConfig) -> CandidateReport:
     )
 
 
-def calibrate(grid: dict[str, Sequence[float]] | None = None,
-              ) -> tuple[CandidateReport | None, dict]:
+def calibrate(grid: dict[str, Sequence[float]] | None = None) -> tuple[CandidateReport | None, dict]:
     """Scan the grid over the default scenario; return the best accepted candidate and a report."""
     grid = grid or DEFAULT_GRID
     names = sorted(grid)
@@ -177,9 +176,8 @@ def calibrate(grid: dict[str, Sequence[float]] | None = None,
     return best, summary
 
 
-def freeze(report: CandidateReport, data_dir: str | Path,
-           summary: dict | None = None) -> None:
-    """Write the canonical scenario file (and search report) into ``data_dir``."""
+def freeze(report: CandidateReport, data_dir: str | Path, summary: dict) -> None:
+    """Write the canonical scenario file and the search report into ``data_dir``."""
     data_dir = Path(data_dir)
     save_scenario(report.cfg, data_dir / "canonical_scenario.json")
     payload = {
@@ -187,7 +185,7 @@ def freeze(report: CandidateReport, data_dir: str | Path,
         "n_clubs": report.n_clubs,
         "x0_all_optimal": report.x0_all_optimal,
         "strong_actions": list(report.strong_actions),
-        "search": summary or {},
+        "search": summary,
     }
     (data_dir / "calibration_report.json").write_text(
         json.dumps(payload, indent=2, sort_keys=True) + "\n")

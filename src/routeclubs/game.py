@@ -210,12 +210,10 @@ class PayoffMatrix:
         return frozenset(self.av_ids[k] for k in range(self.n_av) if mask >> k & 1)
 
     def _level_sets(self) -> tuple[_PlayerLevels, ...]:
-        """Each strategic player's :class:`_PlayerLevels` by bit, built together on first use.
+        """Each strategic player's :class:`_PlayerLevels` by bit, all built on first use.
 
-        Needs a complete matrix. All payoff columns come from one pass over
-        the rows, highest action first. Not a ``functools.cached_property``:
-        that writes through ``__dict__``, which in CPython 3.11 slows every
-        later attribute read on the matrix.
+        Needs a complete matrix. Not a ``cached_property``: its write through
+        ``__dict__`` slows every later attribute read on the matrix (CPython 3.11).
         """
         if self._levels is None:  # type: ignore[attr-defined]
             actions = range((1 << self.n_av) - 1, -1, -1)
@@ -282,10 +280,9 @@ def _improving_targets(g: PayoffMatrix, x: int, fixed: int = 0) -> int:
     """The joint actions ``y != x`` whose flip ``x ^ y`` strictly improves every mover, as a bitset.
 
     Player ``b`` may keep its route or move where it earns more than at
-    ``x``; the bits of ``fixed`` must stay. One AND per player. Each
-    player's set holds every action that agrees with ``x`` on its bit, so
-    no AND but the last can empty the chain. Call :func:`_check_targets`
-    first.
+    ``x``; the bits of ``fixed`` must stay. One AND per player; only the
+    last can empty the set, as each keeps all actions that agree with
+    ``x`` on its player's bit. Call :func:`_check_targets` first.
     """
     levels, row = g._level_sets(), g.entries[x]
     targets = ~(1 << x)

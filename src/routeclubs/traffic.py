@@ -123,16 +123,15 @@ class ScenarioConfig:
         positive = ("departure_headway", "free_flow_r0_to_j", "free_flow_r1_to_j",
                     "free_flow_j_to_b", "saturation_headway", "payoff_quantum")
         for name in (*positive, "signal_offset"):
-            if isinstance(getattr(self, name), bool):
+            value = getattr(self, name)
+            if isinstance(value, bool):
                 raise ValueError(f"{name} must be a number")
+            if name in positive and value <= 0:
+                raise ValueError(f"{name} must be positive")
+            if not isfinite(value):
+                raise ValueError(f"{name} must be finite")
         if self.free_flow_r1_to_j <= self.free_flow_r0_to_j:
             raise ValueError("route 1 must be longer than route 0")
-        for name in positive:
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
-        for name in (*positive, "signal_offset"):
-            if not isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite")
         if self.supply_mode not in ("static", "adaptive"):
             raise ValueError(f"unknown supply mode {self.supply_mode!r}")
         if self.human_slot_period < 1:
