@@ -2,12 +2,8 @@
 
 The queue kernel replaces a microscopic simulator, so the seconds it
 produces are its own; what must hold is the shape of the phenomenon.
-A scenario qualifies when its adaptive-mode matrix simultaneously has:
-
-  1. the all-on-route-0 action as a Nash equilibrium,
-  2. that action maximizing the strategic players' total payoff,
-  3. at least one club of size 2 to 4 at it, and
-  4. a formation replay converging onto a Nash action.
+A scenario qualifies when it passes every stage of
+:func:`evaluate_candidate`.
 
 Strong-equilibrium existence is additionally measured and reported but
 is not an acceptance gate: under this kernel's crisp signal windows, a
@@ -16,9 +12,8 @@ desperate to absorb more joiners or profitable to abandon as a group;
 exhaustive sweeps over headway, saturation, route-1 length, and signal
 offset found no configuration with clubs and a strong action at once.
 
-``python -m routeclubs.calibration`` scans the default grid, freezes
-the best hit into the package data directory and writes a search
-report next to it.
+``routeclubs calibrate --out DIR`` scans the default grid and writes
+the best hit and a search report into DIR.
 """
 
 from __future__ import annotations
@@ -51,26 +46,32 @@ DEFAULT_GRID = {
     "signal_offset": tuple(0.5 * v for v in range(100)),
 }
 
+# the stages of the acceptance rule, in the order evaluate_candidate checks them
+STAGES = ("x0_nash", "x0_av_optimal", "clubs", "formation")
+
 
 @dataclass(frozen=True)
 class CandidateReport:
-    """Outcome of checking one grid point."""
+    """Outcome of checking one grid point.
+
+    ``failed_stage`` is the first stage of ``STAGES`` it failed, or None.
+    ``x0_all_optimal`` and ``strong_actions`` are computed only when None.
+    """
 
     cfg: ScenarioConfig
-    x0_nash: bool
-    x0_av_optimal: bool = False
+    failed_stage: str | None
     x0_all_optimal: bool = False
     club_sizes: tuple[int, ...] = ()
     n_clubs: int = 0
     strong_actions: tuple[int, ...] = ()
-    formation_converged: bool = False
-    final_action_nash: bool = False
 
     @property
     def accepted(self) -> bool:
-        return (self.x0_nash and self.x0_av_optimal
-                and any(2 <= s <= 4 for s in self.club_sizes)
-                and self.formation_converged and self.final_action_nash)
+        return self.failed_stage is None
+
+    @property
+    def x0_nash(self) -> bool:
+        return self.failed_stage != "x0_nash"
 
     def score(self) -> tuple:
         """Higher is better among accepted candidates."""
@@ -89,47 +90,38 @@ def _x0_quick_nash(cfg: ScenarioConfig) -> bool:
     """Nash check at the all-on-route-0 action from 11 simulations."""
     base = simulate(cfg, 0, signal_plan(0, cfg.supply_mode)).travel_times
     solo_plan = signal_plan(1, cfg.supply_mode)
-    for k in range(cfg.n_av):
-        player = cfg.av_ids[k]
+    for k, player in enumerate(cfg.av_ids):
         if simulate(cfg, 1 << k, solo_plan).travel_times[player] < base[player]:
             return False
     return True
 
 
 def evaluate_candidate(cfg: ScenarioConfig) -> CandidateReport:
-    """Full check of one scenario against the acceptance conditions."""
+    """Check one scenario's adaptive-mode matrix, stage by stage in ``STAGES`` order.
+
+    The first stage that fails ends the check. x0 must be Nash and
+    maximize the strategic players' total payoff, a club of size 2 to 4
+    must exist at x0, and the formation replay led by the least club
+    member must converge onto a Nash action.
+    """
     if not _x0_quick_nash(cfg):
-        return CandidateReport(cfg=cfg, x0_nash=False)
+        return CandidateReport(cfg, "x0_nash")
     g = generate_payoff_matrix(cfg)
-
-    av_totals = {a: sum(g.av_payoffs(a)) for a in g.actions()}
-    all_totals = {a: sum(g.entries[a]) for a in g.actions()}
-    x0_av_optimal = av_totals[0] >= max(av_totals.values())
-    x0_all_optimal = all_totals[0] >= max(all_totals.values())
-
+    if sum(g.av_payoffs(0)) < max(sum(g.av_payoffs(a)) for a in g.actions()):
+        return CandidateReport(cfg, "x0_av_optimal")
     clubs = find_clubs(g, 0)
-    club_sizes = tuple(sorted({len(c) for c in clubs}))
-
-    strong = tuple(
-        x for x in g.actions()
-        if is_nash(g, x) and is_strong(g, x)
-    )
-
-    formation_converged = False
-    final_action_nash = False
-    if clubs and x0_av_optimal:
-        leader = min(min(c) for c in clubs)
-        days = run_formation(cfg, g, FormationPolicy(leader=leader))
-        formation_converged = days[-1].event is DayEvent.CONVERGED
-        final_action_nash = is_nash(g, days[-1].action)
-
+    sizes = tuple(sorted({len(c) for c in clubs}))
+    if not any(2 <= s <= 4 for s in sizes):
+        return CandidateReport(cfg, "clubs", club_sizes=sizes, n_clubs=len(clubs))
+    leader = min(min(c) for c in clubs)
+    last = run_formation(cfg, g, FormationPolicy(leader=leader))[-1]
+    if last.event is not DayEvent.CONVERGED or not is_nash(g, last.action):
+        return CandidateReport(cfg, "formation", club_sizes=sizes, n_clubs=len(clubs))
     return CandidateReport(
-        cfg=cfg, x0_nash=True,
-        x0_av_optimal=x0_av_optimal, x0_all_optimal=x0_all_optimal,
-        club_sizes=club_sizes, n_clubs=len(clubs),
-        strong_actions=strong,
-        formation_converged=formation_converged,
-        final_action_nash=final_action_nash,
+        cfg, None,
+        x0_all_optimal=sum(g.entries[0]) >= max(map(sum, g.entries.values())),
+        club_sizes=sizes, n_clubs=len(clubs),
+        strong_actions=tuple(x for x in g.actions() if is_nash(g, x) and is_strong(g, x)),
     )
 
 
@@ -140,8 +132,7 @@ def calibrate(grid: dict[str, Sequence[float]] | None = None) -> tuple[Candidate
     started = time.perf_counter()
     tried = 0
     accepted: list[CandidateReport] = []
-    stage_fail = {"x0_nash": 0, "x0_av_optimal": 0, "clubs": 0, "formation": 0}
-    with_strong = 0
+    stage_fail = dict.fromkeys(STAGES, 0)
     for values in product(*(grid[n] for n in names)):
         try:
             cfg = replace(ScenarioConfig(), **dict(zip(names, values)))
@@ -149,28 +140,17 @@ def calibrate(grid: dict[str, Sequence[float]] | None = None) -> tuple[Candidate
             continue
         tried += 1
         report = evaluate_candidate(cfg)
-        if not report.x0_nash:
-            stage_fail["x0_nash"] += 1
-            continue
-        if not report.x0_av_optimal:
-            stage_fail["x0_av_optimal"] += 1
-            continue
-        if not any(2 <= s <= 4 for s in report.club_sizes):
-            stage_fail["clubs"] += 1
-            continue
-        if not (report.formation_converged and report.final_action_nash):
-            stage_fail["formation"] += 1
-            continue
-        accepted.append(report)
-        if report.strong_actions:
-            with_strong += 1
+        if report.accepted:
+            accepted.append(report)
+        else:
+            stage_fail[report.failed_stage] += 1
     best = max(accepted, key=CandidateReport.score) if accepted else None
     summary = {
         "grid": {n: list(grid[n]) for n in names},
         "tried": tried,
         "stage_failures": stage_fail,
         "accepted": len(accepted),
-        "accepted_with_strong_action": with_strong,
+        "accepted_with_strong_action": sum(bool(r.strong_actions) for r in accepted),
         "elapsed_seconds": round(time.perf_counter() - started, 1),
     }
     return best, summary
@@ -189,21 +169,3 @@ def freeze(report: CandidateReport, data_dir: str | Path, summary: dict) -> None
     }
     (data_dir / "calibration_report.json").write_text(
         json.dumps(payload, indent=2, sort_keys=True) + "\n")
-
-
-def main() -> int:
-    best, summary = calibrate()
-    print(json.dumps(summary, indent=2, sort_keys=True))
-    if best is None:
-        print("calibration failed: no grid point satisfies all conditions")
-        return 1
-    data_dir = Path(__file__).parent / "data"
-    freeze(best, data_dir, summary)
-    print(f"frozen scenario: {best.cfg}")
-    print(f"clubs: {best.n_clubs} (sizes {best.club_sizes}); "
-          f"strong actions: {len(best.strong_actions)}")
-    return 0
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

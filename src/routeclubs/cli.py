@@ -5,6 +5,7 @@ analyze   matrix -> equilibrium classification and club report
 graph     matrix -> club dynamics graph in DOT
 form      scenario + matrix -> day-by-day formation log (JSON lines)
 scatter   matrix -> per-action CSV of route times and classes
+calibrate grid scan -> calibrated scenario and search report in a directory
 
 Exit codes: 0 success, 2 malformed input file, 3 violated precondition.
 """
@@ -15,6 +16,7 @@ import argparse
 import json
 import sys
 from dataclasses import replace
+from pathlib import Path
 
 from .errors import FormatError, PreconditionError
 from .exports import export_dot, export_scatter
@@ -22,7 +24,7 @@ from .formation import (TARGET_FIRST, TARGET_STABLE, DayEvent, FormationPolicy,
                         _check_scenario, run_formation)
 from .game import EquilibriumTag, classify_all, find_clubs, sort_coalitions
 from .matrixio import load_matrix, save_matrix
-from .stability import build_club_graph, se_candidates
+from .stability import build_club_graph, se_candidates, terminal_coalitions
 from .traffic import canonical_scenario, generate_payoff_matrix, load_scenario
 
 
@@ -97,7 +99,7 @@ def cmd_graph(args) -> int:
     graph = build_club_graph(g, root)
     se = se_candidates(g, graph) if g.complete else frozenset()
     export_dot(graph, args.out, se_nodes=se)
-    leaves = graph.leaves()
+    leaves = terminal_coalitions(graph)
     print(f"root {sorted(root)}: {len(graph.nodes)} coalitions, {len(graph.edges)} joins, "
           f"{len(leaves)} terminal, {len(se)} strong; wrote {args.out}")
     return 0
@@ -156,6 +158,21 @@ def cmd_scatter(args) -> int:
     return 0
 
 
+def cmd_calibrate(args) -> int:
+    # imported here: at module level the calibration module would add a
+    # few milliseconds (python -X importtime) to every subcommand's start-up
+    from . import calibration
+    best, summary = calibration.calibrate()
+    print(json.dumps(summary, indent=2, sort_keys=True))
+    if best is None:
+        raise PreconditionError("no grid point passes every calibration stage")
+    Path(args.out).mkdir(parents=True, exist_ok=True)
+    calibration.freeze(best, args.out, summary)
+    print(f"wrote canonical_scenario.json and calibration_report.json to {args.out}; "
+          f"club sizes {list(best.club_sizes)}, {len(best.strong_actions)} strong actions")
+    return 0
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="routeclubs",
@@ -193,6 +210,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--matrix", required=True)
     p.add_argument("--out", required=True, help="CSV file to write")
     p.set_defaults(func=cmd_scatter)
+
+    p = sub.add_parser("calibrate", help="scan the calibration grid and freeze the best scenario")
+    p.add_argument("--out", required=True, help="directory for canonical_scenario.json "
+                   "and calibration_report.json")
+    p.set_defaults(func=cmd_calibrate)
 
     return parser
 

@@ -375,10 +375,6 @@ def classify_all(g: PayoffMatrix) -> dict[int, EquilibriumClass]:
     The solo gainers settle Nash-ness. The improving targets that leave
     every solo gainer in place settle the club flag and strong versus
     plain Nash. Improving-coalition sets wait for first access.
-
-    Per-action work is independent and side effect free, so callers may
-    shard the action range across workers and merge; this reference
-    implementation runs sequentially.
     """
     _check_targets(g, 0)
     full = (1 << g.n_av) - 1

@@ -44,9 +44,6 @@ class ClubGraph:
     nodes: Mapping[Coalition, ClubNode]
     edges: frozenset[tuple[Coalition, Coalition, int]]
 
-    def leaves(self) -> frozenset[Coalition]:
-        return frozenset(c for c, node in self.nodes.items() if node.externally_stable)
-
 
 def _check_members(g: PayoffMatrix, members: Iterable[int]) -> tuple[Coalition, int]:
     """The coalition and its joint action, refusing an empty or non-strategic one."""
@@ -120,13 +117,13 @@ def terminal_coalitions(graph: ClubGraph) -> frozenset[Coalition]:
     A leaf has no outside gainer, so a leaf that is not a Nash state has
     a member who gains by walking out: it is internally unstable.
     """
-    return graph.leaves()
+    return frozenset(c for c, node in graph.nodes.items() if node.externally_stable)
 
 
 def se_candidates(g: PayoffMatrix, graph: ClubGraph) -> frozenset[Coalition]:
     """Leaves whose deviated action no coalition whatsoever can improve upon."""
     return frozenset(
         coalition
-        for coalition in graph.leaves()
+        for coalition in terminal_coalitions(graph)
         if is_strong(g, g.indicator(coalition))
     )

@@ -26,7 +26,6 @@ import hashlib
 import json
 from dataclasses import asdict, dataclass, replace
 from importlib import resources
-from functools import cached_property
 from math import floor, inf, isfinite
 from pathlib import Path
 from typing import ClassVar, Literal
@@ -93,6 +92,12 @@ class ScenarioConfig:
     human, the rest by strategic vehicles in id order. ``signal_offset``
     shifts the signal clock against the departure clock (west green
     starts at ``signal_offset`` on the shared clock).
+
+    ``schedule`` holds ``(player, departure time, strategic bit or -1)``
+    per slot, earliest first: every ``human_slot_period``-th slot goes to
+    the next human while humans remain, the others to the strategic
+    players in ``av_ids`` order. Each config builds it when it is
+    created, so it lives exactly as long as the config does.
     """
 
     n_total: int = 15
@@ -143,31 +148,21 @@ class ScenarioConfig:
         if not isfinite(longest / self.payoff_quantum):
             raise ValueError("a day's times overflow when counted in payoff quanta")
         object.__setattr__(self, "av_ids", av)
-
-    @property
-    def n_av(self) -> int:
-        return len(self.av_ids)
-
-    @cached_property
-    def schedule(self) -> tuple[tuple[int, float, int], ...]:
-        """``(player, departure time, strategic bit or -1)`` per slot, earliest first.
-
-        Every ``human_slot_period``-th slot goes to the next human while
-        humans remain, the others to the strategic players in ``av_ids``
-        order. Built on first use and kept on the instance, so it lives
-        exactly as long as the config does.
-        """
-        bit = {p: k for k, p in enumerate(self.av_ids)}
+        bit = {p: k for k, p in enumerate(av)}
         humans = [p for p in range(self.n_total) if p not in bit]
         h = a = 0
         slots = []
         for slot in range(self.n_total):
-            if h < len(humans) and ((slot + 1) % self.human_slot_period == 0 or a == self.n_av):
+            if h < len(humans) and ((slot + 1) % self.human_slot_period == 0 or a == len(av)):
                 player, h = humans[h], h + 1
             else:
-                player, a = self.av_ids[a], a + 1
+                player, a = av[a], a + 1
             slots.append((player, slot * self.departure_headway, bit.get(player, -1)))
-        return tuple(slots)
+        object.__setattr__(self, "schedule", tuple(slots))
+
+    @property
+    def n_av(self) -> int:
+        return len(self.av_ids)
 
 
 @dataclass(frozen=True)
