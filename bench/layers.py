@@ -19,8 +19,8 @@ Each layer is one call on fixed inputs:
 - ``evaluate_candidate_full``: the canonical point, which passes the
   quick check and is evaluated in full: matrix, clubs, strong actions
   and the formation replay;
-- ``run_formation``: the canonical replay from the first club's least
-  member, on a matrix built once beforehand;
+- ``run_formation``: the canonical replay from ``default_leader``, on a
+  matrix built once beforehand;
 - ``classify_all_n10`` / ``_n12`` / ``_n14``: every joint action of the
   canonical matrix, of the n=12 one above and of the same scenario with
   strategic players 0..13. Each call classifies a fresh ``PayoffMatrix``
@@ -91,14 +91,13 @@ def layers(workdir: Path) -> dict:
     """Name -> zero-argument call, inputs prepared here and not timed; files go to ``workdir``."""
     sys.path.insert(0, str(ROOT / "src"))
     from routeclubs import calibration, exports, formation, matrixio, stability, traffic
-    from routeclubs.game import (PayoffMatrix, classify_all, find_clubs, improving_coalitions,
-                                 is_nash, sort_coalitions)
+    from routeclubs.game import PayoffMatrix, classify_all, find_clubs, improving_coalitions, is_nash
 
     cfg = traffic.canonical_scenario()
     n12 = replace(cfg, av_ids=tuple(range(12)))
     n14 = replace(cfg, av_ids=tuple(range(14)))
     club = sum(1 << cfg.av_ids.index(p) for p in CLUB)
-    plan = traffic.signal_plan(traffic.route1_demand(club), cfg.supply_mode)
+    plan = cfg.plan(club)
 
     grid = calibration.DEFAULT_GRID
     names = sorted(grid)
@@ -116,7 +115,7 @@ def layers(workdir: Path) -> dict:
     matrixio.save_matrix(g, file10)
     matrixio.save_matrix(g12, file12)
     classes10, classes12 = classify_all(g), classify_all(g12)
-    policy = formation.FormationPolicy(leader=min(sort_coalitions(find_clubs(g, 0))[0]))
+    policy = formation.FormationPolicy(leader=formation.default_leader(find_clubs(g, 0)))
 
     def fresh(m):
         return PayoffMatrix(n_players=m.n_players, av_ids=m.av_ids, entries=m.entries,

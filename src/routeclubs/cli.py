@@ -21,7 +21,7 @@ from pathlib import Path
 from .errors import FormatError, PreconditionError
 from .exports import export_dot, export_scatter
 from .formation import (TARGET_FIRST, TARGET_STABLE, DayEvent, FormationPolicy,
-                        _check_scenario, run_formation)
+                        _check_scenario, default_leader, run_formation)
 from .game import EquilibriumTag, classify_all, find_clubs, sort_coalitions
 from .matrixio import load_matrix, save_matrix
 from .stability import build_club_graph, se_candidates, terminal_coalitions
@@ -112,13 +112,7 @@ def cmd_form(args) -> int:
     else:
         g = generate_payoff_matrix(cfg)
     _check_scenario(cfg, g)
-    if args.leader is not None:
-        leader = args.leader
-    else:
-        clubs = sort_coalitions(find_clubs(g, 0))
-        if not clubs:
-            raise PreconditionError("no club exists; nothing to form")
-        leader = min(clubs[0])
+    leader = args.leader if args.leader is not None else default_leader(find_clubs(g, 0))
     policy = FormationPolicy(
         leader=leader,
         target_selection=TARGET_STABLE if args.policy == "stable" else TARGET_FIRST,
@@ -162,6 +156,8 @@ def cmd_calibrate(args) -> int:
     # imported here: at module level the calibration module would add a
     # few milliseconds (python -X importtime) to every subcommand's start-up
     from . import calibration
+    if any(p.exists() and not p.is_dir() for p in (Path(args.out), *Path(args.out).parents)):
+        raise NotADirectoryError(f"--out {args.out} is a file or lies under one")
     best, summary = calibration.calibrate()
     print(json.dumps(summary, indent=2, sort_keys=True))
     if best is None:

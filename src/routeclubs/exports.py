@@ -11,7 +11,7 @@ from pathlib import Path
 from typing import Iterable, Mapping
 
 from .errors import PreconditionError
-from .game import Coalition, EquilibriumClass, PayoffMatrix, action_to_string
+from .game import Coalition, EquilibriumClass, PayoffMatrix, action_to_string, sort_coalitions
 from .stability import ClubGraph
 
 
@@ -28,9 +28,8 @@ def export_dot(graph: ClubGraph, path: str | Path,
     ``se_nodes`` filled green and internally unstable nodes filled red.
     """
     se_set = frozenset(frozenset(c) for c in se_nodes)
-    ordered = sorted(graph.nodes, key=lambda c: (len(c), sorted(c)))
     lines = ["digraph club_dynamics {", "  rankdir=LR;"]
-    for members in ordered:
+    for members in sort_coalitions(graph.nodes):
         node = graph.nodes[members]
         attrs = [f'label="{_node_label(members)}"']
         if members == graph.root:

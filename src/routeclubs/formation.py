@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Literal
+from typing import Iterable, Literal
 
 from .errors import PreconditionError
 from .game import Coalition, PayoffMatrix, find_clubs, sort_coalitions
@@ -21,9 +21,7 @@ from .traffic import (
     ScenarioConfig,
     SignalPlan,
     evaluate_lagged_day,
-    route1_demand,
     scenario_hash,
-    signal_plan,
 )
 
 TARGET_FIRST = "first_club_containing_leader"
@@ -73,6 +71,14 @@ class DayRecord:
     to_route: int | None = None
 
 
+def default_leader(clubs: Iterable[Coalition]) -> int:
+    """Least member of the club :func:`sort_coalitions` puts first: the default leader."""
+    ordered = sort_coalitions(clubs)
+    if not ordered:
+        raise PreconditionError("no club exists; nothing to form")
+    return min(ordered[0])
+
+
 def choose_club(g: PayoffMatrix, policy: FormationPolicy) -> Coalition:
     """Club the leader invites, per the policy's target selection.
 
@@ -114,10 +120,11 @@ def run_formation(cfg: ScenarioConfig, g: PayoffMatrix,
     Day 0 is the all-on-route-0 equilibrium. Day 1 the club deviates
     under the still-unadapted plan. Day 2 the plan catches up. From day
     3 on, the non-invited strategic players best-respond one per day in
-    ascending id order, each judging both routes against yesterday's
-    traffic under yesterday's plan; club members hold their action. The
-    replay stops once a full round passes without a switch (event
-    ``CONVERGED``) or when ``max_days`` runs out.
+    ``av_ids`` order, which is departure order and not id order, each
+    judging both routes against yesterday's traffic under yesterday's
+    plan; club members hold their action. The replay stops once a full
+    round passes without a switch (event ``CONVERGED``) or when
+    ``max_days`` runs out.
 
     ``g`` must be this scenario's matrix, by ``scenario_hash``. A day
     is read from it when yesterday's plan is the one today's action
@@ -131,8 +138,7 @@ def run_formation(cfg: ScenarioConfig, g: PayoffMatrix,
 
     def price(today: int, yesterday: int) -> tuple[float, ...]:
         """Payoffs of today's action under the plan derived from yesterday's."""
-        plan = signal_plan(route1_demand(yesterday), cfg.supply_mode)
-        if plan == signal_plan(route1_demand(today), cfg.supply_mode):
+        if cfg.plan(yesterday) == cfg.plan(today):
             return g.entries[today]
         return tuple(-t for t in evaluate_lagged_day(cfg, today, yesterday).travel_times)
 
@@ -140,7 +146,7 @@ def run_formation(cfg: ScenarioConfig, g: PayoffMatrix,
                player: int | None = None, from_route: int | None = None,
                to_route: int | None = None) -> None:
         records.append(DayRecord(
-            day=day, action=action, plan=signal_plan(route1_demand(yesterday), cfg.supply_mode),
+            day=day, action=action, plan=cfg.plan(yesterday),
             payoffs=price(action, yesterday), event=event, player=player,
             from_route=from_route, to_route=to_route,
         ))

@@ -164,6 +164,10 @@ class ScenarioConfig:
     def n_av(self) -> int:
         return len(self.av_ids)
 
+    def plan(self, action: int) -> SignalPlan:
+        """Signal plan the controller runs after a day of ``action``: its route-1 count decides."""
+        return signal_plan(action.bit_count(), self.supply_mode)
+
 
 @dataclass(frozen=True)
 class SimOutcome:
@@ -203,11 +207,6 @@ def simulate(cfg: ScenarioConfig, action: int, plan: SignalPlan) -> SimOutcome:
     return SimOutcome(tuple(times))
 
 
-def route1_demand(action: int) -> int:
-    """Vehicles asking for route 1 under a joint action."""
-    return action.bit_count()
-
-
 def generate_payoff_matrix(cfg: ScenarioConfig) -> PayoffMatrix:
     """Price every joint action under its own converged signal plan.
 
@@ -223,8 +222,7 @@ def generate_payoff_matrix(cfg: ScenarioConfig) -> PayoffMatrix:
         )
     entries = {}
     for action in range(1 << cfg.n_av):
-        plan = signal_plan(route1_demand(action), cfg.supply_mode)
-        outcome = simulate(cfg, action, plan)
+        outcome = simulate(cfg, action, cfg.plan(action))
         entries[action] = tuple([-t for t in outcome.travel_times])
     return PayoffMatrix(
         n_players=cfg.n_total,
@@ -238,8 +236,7 @@ def generate_payoff_matrix(cfg: ScenarioConfig) -> PayoffMatrix:
 
 def evaluate_lagged_day(cfg: ScenarioConfig, x_today: int, x_yesterday: int) -> SimOutcome:
     """Simulate today's split under the plan the controller derived yesterday."""
-    plan = signal_plan(route1_demand(x_yesterday), cfg.supply_mode)
-    return simulate(cfg, x_today, plan)
+    return simulate(cfg, x_today, cfg.plan(x_yesterday))
 
 
 def scenario_hash(cfg: ScenarioConfig) -> str:

@@ -41,7 +41,7 @@ from routeclubs import (
     terminal_coalitions,
 )
 from routeclubs.fixtures import table1_completed, table1_partial
-from routeclubs.formation import DayEvent, FormationPolicy
+from routeclubs.formation import DayEvent, FormationPolicy, default_leader
 from routeclubs.traffic import signal_plan, simulate, static_variant
 
 
@@ -128,8 +128,7 @@ def test_criterion_4_emergence_under_adaptation(scenario, adaptive_matrix):
         assert clubs
         assert any(2 <= len(c) <= 4 for c in clubs)
 
-        leader = min(min(c) for c in clubs)
-        days = run_formation(scenario, g, FormationPolicy(leader=leader))
+        days = run_formation(scenario, g, FormationPolicy(leader=default_leader(clubs)))
         assert days[-1].event is DayEvent.CONVERGED
         assert is_nash(g, days[-1].action)
 

@@ -13,6 +13,7 @@ from routeclubs import calibration
 from routeclubs.calibration import (DEFAULT_GRID, STAGES, CandidateReport, _x0_quick_nash,
                                     calibrate, evaluate_candidate)
 from routeclubs.cli import main
+from routeclubs.formation import DayEvent, DayRecord
 
 # the grid column through the bundled scenario: every offset at its
 # headways and route-1 length
@@ -84,6 +85,48 @@ def test_a_club_of_four_alone_is_accepted(monkeypatch):
     assert (report.failed_stage, report.club_sizes) == (None, (4,))
 
 
+def test_x0_that_is_nash_but_not_av_optimal_fails_its_stage():
+    # all eleven humans depart first and the three strategic players last;
+    # found by random draws, as no grid point fails this stage
+    cfg = replace(canonical_scenario(), human_slot_period=1, n_total=14, av_ids=(0, 1, 2))
+    assert _x0_quick_nash(cfg)
+    assert evaluate_candidate(cfg).failed_stage == "x0_av_optimal"
+
+
+def _replay_ending(event, pick_action):
+    """A stand-in for run_formation whose one-day log ends as given."""
+    def replay(cfg, g, policy):
+        action = pick_action(g)
+        return [DayRecord(day=0, action=action, plan=cfg.plan(action),
+                          payoffs=g.entries[action], event=event)]
+    return replay
+
+
+@pytest.mark.parametrize("event, pick_action", [
+    (DayEvent.BEST_RESPONSE, lambda g: 0),
+    (DayEvent.CONVERGED, lambda g: next(x for x in g.actions() if not is_nash(g, x))),
+], ids=["not_converged", "converged_off_nash"])
+def test_replay_that_misses_a_nash_end_fails_formation(monkeypatch, event, pick_action):
+    # no scenario on the grid fails this stage under the real replay
+    monkeypatch.setattr(calibration, "run_formation", _replay_ending(event, pick_action))
+    assert evaluate_candidate(canonical_scenario()).failed_stage == "formation"
+
+
+def test_replay_is_led_by_the_default_leader(monkeypatch):
+    # the least member over all clubs is 5, but {8, 9} is the first club
+    monkeypatch.setattr(calibration, "find_clubs",
+                        lambda g, x: {frozenset({8, 9}), frozenset({5, 6, 7})})
+    leaders = []
+
+    def replay(cfg, g, policy):
+        leaders.append(policy.leader)
+        return _replay_ending(DayEvent.CONVERGED, lambda g: 0)(cfg, g, policy)
+
+    monkeypatch.setattr(calibration, "run_formation", replay)
+    assert evaluate_candidate(canonical_scenario()).accepted
+    assert leaders == [8]
+
+
 def test_score_prefers_a_club_of_three():
     cfg = canonical_scenario()
     pair = [CandidateReport(cfg, None, club_sizes=(size,), n_clubs=1) for size in (2, 3)]
@@ -116,6 +159,18 @@ class TestCalibrateCommand:
         assert report["search"]["stage_failures"] == {"x0_nash": 1, "x0_av_optimal": 0,
                                                       "clubs": 1, "formation": 0}
         assert _data_files() == bundled
+
+    @pytest.mark.parametrize("below", [(), ("sub",)], ids=["the_file", "under_the_file"])
+    def test_out_at_a_file_exits_2_before_the_scan(self, monkeypatch, tmp_path, capsys, below):
+        calls = []
+        monkeypatch.setattr(calibration, "calibrate", lambda *args: calls.append(args))
+        taken = tmp_path / "taken"
+        taken.write_text("a file\n")
+        out = taken.joinpath(*below)
+        assert main(["calibrate", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: --out {out} is a file or lies under one\n"
+        assert calls == []
+        assert taken.read_text() == "a file\n"
 
     def test_no_accepted_point_exits_3(self, offsets, tmp_path, capsys):
         offsets(0.0)

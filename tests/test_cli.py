@@ -12,7 +12,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from routeclubs import canonical_scenario, load_matrix, save_matrix
+from routeclubs import ScenarioConfig, canonical_scenario, load_matrix, save_matrix
 from routeclubs.cli import main
 from routeclubs.traffic import save_scenario
 
@@ -217,6 +217,14 @@ class TestForm:
         save_matrix(static_matrix, other)
         assert main(["form", "--config", str(cfg_path), "--matrix", str(other), *leader]) == 3
         assert capsys.readouterr().err == "error: payoff matrix does not match the scenario\n"
+
+    def test_no_club_without_leader_exits_3(self, tmp_path, capsys):
+        # a calibration grid point whose x0 is Nash but holds no club
+        cfg_path = tmp_path / "clubless.json"
+        save_scenario(replace(ScenarioConfig(), departure_headway=0.5, saturation_headway=1.5,
+                              free_flow_r1_to_j=40.0, signal_offset=19.0), cfg_path)
+        assert main(["form", "--config", str(cfg_path)]) == 3
+        assert capsys.readouterr().err == "error: no club exists; nothing to form\n"
 
     def test_static_mode_exits_3(self, tmp_path, scenario):
         from routeclubs.traffic import static_variant

@@ -77,6 +77,16 @@ class TestChooseClub:
         assert chosen == (candidates[0] if candidates else first_club)
 
 
+class TestDefaultLeader:
+    def test_least_member_of_the_first_club(self):
+        # the club of two sorts first; the least member over all clubs is 5
+        assert formation.default_leader({frozenset({8, 9}), frozenset({5, 6, 7})}) == 8
+
+    def test_no_club_is_an_error(self):
+        with pytest.raises(PreconditionError, match="^no club exists; nothing to form$"):
+            formation.default_leader(())
+
+
 class TestRunFormation:
     def test_day_zero_is_the_equilibrium(self, days):
         assert days[0].day == 0
@@ -99,10 +109,9 @@ class TestRunFormation:
             assert record.action & mask == mask
 
     def test_plan_always_derives_from_yesterday(self, days, scenario):
-        from routeclubs.traffic import route1_demand, signal_plan
+        from routeclubs.traffic import signal_plan
         for yesterday, today in zip(days, days[1:]):
-            assert today.plan == signal_plan(route1_demand(yesterday.action),
-                                             scenario.supply_mode)
+            assert today.plan == signal_plan(yesterday.action.bit_count(), scenario.supply_mode)
 
     def test_switches_strictly_improve_under_the_decision_model(self, days, scenario):
         for yesterday, today in zip(days, days[1:]):

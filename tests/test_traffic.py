@@ -25,7 +25,7 @@ from routeclubs import (
 from routeclubs import traffic
 from routeclubs.errors import PreconditionError
 from routeclubs.game import MAX_AV_PLAYERS
-from routeclubs.traffic import route1_demand, scenario_hash
+from routeclubs.traffic import scenario_hash
 
 
 def single_vehicle_config(**overrides):
@@ -53,6 +53,12 @@ class TestSignalPlan:
     def test_negative_demand_rejected(self):
         with pytest.raises(ValueError):
             signal_plan(-1, "adaptive")
+
+    @pytest.mark.parametrize("mode", ["static", "adaptive"])
+    def test_config_plan_counts_route_1_bits(self, mode):
+        cfg = replace(ScenarioConfig(), supply_mode=mode)
+        for action in (0, 0b1, 0b11, 0b111, 0b1011000000, 1023):
+            assert cfg.plan(action) == signal_plan(action.bit_count(), mode)
 
     def test_splits_fill_the_cycle(self):
         for demand in range(6):
@@ -102,7 +108,7 @@ class TestSimulate:
     def test_travel_time_never_below_free_flow(self, scenario, adaptive_matrix):
         plan = signal_plan(0, scenario.supply_mode)
         for action in (0, 1, 7, 1023):
-            out = simulate(scenario, action, signal_plan(route1_demand(action), "adaptive"))
+            out = simulate(scenario, action, signal_plan(action.bit_count(), "adaptive"))
             for player, t in enumerate(out.travel_times):
                 on_route1 = player in scenario.av_ids and \
                     action >> scenario.av_ids.index(player) & 1
