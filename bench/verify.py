@@ -5,13 +5,15 @@
 It reruns the full calibration scan, as ``routeclubs calibrate --out DIR``
 into a temporary directory, and requires both files it writes to equal
 the bundled ones in ``src/routeclubs/data``: the scenario byte for byte,
-the report in everything but ``search.elapsed_seconds``. It then judges
-every point of the calibration grid and requires each verdict (q: quick
-Nash rejection, r: rejected at a later stage, a: accepted) to equal the
-one ``perfbench/expected.json`` records; the grid order and the verdict
-comparison are the ``calibration_sweep`` workload's own, read from
-``perfbench/workloads.py``. It takes about 90 s on one core, writes
-nothing outside the temporary directory, and exits 1 on any difference.
+the report in everything but ``search.elapsed_seconds``. While that
+subprocess runs, it judges every point of the calibration grid in this
+process and requires each verdict (q: quick Nash rejection, r: rejected
+at a later stage, a: accepted) to equal the one ``perfbench/expected.json``
+records; the grid order and the verdict comparison are the
+``calibration_sweep`` workload's own, read from ``perfbench/workloads.py``.
+It prints each part's wall time and the total, which is the longer part's
+on two cores. It writes nothing outside the temporary directory and exits
+1 on any difference.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ import sys
 import tempfile
 import time
 import types
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 from pathlib import Path
 
@@ -89,18 +92,26 @@ def grid_verdicts() -> list[str]:
     return wrong[:20] + ([f"... and {len(wrong) - 20} more"] if len(wrong) > 20 else [])
 
 
+def timed(check) -> tuple[list[str], float]:
+    started = time.perf_counter()
+    problems = check()
+    return problems, time.perf_counter() - started
+
+
 def main() -> int:
-    failed = False
-    for label, check in (("calibration files", calibration_files),
-                         ("grid verdicts", grid_verdicts)):
-        started = time.perf_counter()
-        problems = check()
-        seconds = time.perf_counter() - started
+    started = time.perf_counter()
+    with ThreadPoolExecutor(1) as pool:
+        # the thread only waits on the calibrate subprocess, so the two
+        # scans run side by side, one per core
+        files = pool.submit(timed, calibration_files)
+        verdicts = timed(grid_verdicts)
+        results = (("calibration files", *files.result()), ("grid verdicts", *verdicts))
+    for label, problems, seconds in results:
         print(f"{label}: {'FAIL' if problems else 'ok'} ({seconds:.1f} s wall)")
         for line in problems:
             print(f"  {line}")
-        failed = failed or bool(problems)
-    return 1 if failed else 0
+    print(f"total: {time.perf_counter() - started:.1f} s wall")
+    return 1 if any(problems for _, problems, _ in results) else 0
 
 
 if __name__ == "__main__":

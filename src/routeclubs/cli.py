@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -156,13 +157,19 @@ def cmd_calibrate(args) -> int:
     # imported here: at module level the calibration module would add a
     # few milliseconds (python -X importtime) to every subcommand's start-up
     from . import calibration
-    if any(p.exists() and not p.is_dir() for p in (Path(args.out), *Path(args.out).parents)):
+    # checked before the scan: the nearest existing ancestor of --out must
+    # be a directory this process may create entries in
+    out = Path(args.out).absolute()
+    existing = next(p for p in (out, *out.parents) if p.exists())
+    if not existing.is_dir():
         raise NotADirectoryError(f"--out {args.out} is a file or lies under one")
+    if not os.access(existing, os.W_OK | os.X_OK):
+        raise PermissionError(f"--out {args.out}: cannot write into {existing}")
     best, summary = calibration.calibrate()
     print(json.dumps(summary, indent=2, sort_keys=True))
     if best is None:
         raise PreconditionError("no grid point passes every calibration stage")
-    Path(args.out).mkdir(parents=True, exist_ok=True)
+    out.mkdir(parents=True, exist_ok=True)
     calibration.freeze(best, args.out, summary)
     print(f"wrote canonical_scenario.json and calibration_report.json to {args.out}; "
           f"club sizes {list(best.club_sizes)}, {len(best.strong_actions)} strong actions")

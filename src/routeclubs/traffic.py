@@ -207,6 +207,24 @@ def simulate(cfg: ScenarioConfig, action: int, plan: SignalPlan) -> SimOutcome:
     return SimOutcome(tuple(times))
 
 
+def lead_vehicle_time(cfg: ScenarioConfig, departure: float, plan: SignalPlan) -> float:
+    """Travel time of a route-1 vehicle that departs at ``departure`` and finds route 1 empty.
+
+    :func:`simulate` keeps each route first-in first-out and walks the
+    slots in departure order, so a vehicle is delayed only by earlier
+    departures on its own route. At the solo flip ``1 << k`` no other
+    vehicle takes route 1, so this equals
+    ``simulate(cfg, 1 << k, plan).travel_times[player]`` for strategic
+    player ``player`` on bit ``k``: the same float operations in the
+    same order as simulate's loop, with ``previous`` still at ``-inf``.
+    """
+    ready = departure + cfg.free_flow_r1_to_j
+    phase = (ready - (cfg.signal_offset + plan.south_start)) % plan.cycle
+    discharge = ready if phase < plan.green_south else ready + plan.cycle - phase
+    quantum = cfg.payoff_quantum
+    return floor((discharge + cfg.free_flow_j_to_b - departure) / quantum + 0.5) * quantum
+
+
 def generate_payoff_matrix(cfg: ScenarioConfig) -> PayoffMatrix:
     """Price every joint action under its own converged signal plan.
 

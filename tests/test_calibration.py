@@ -1,15 +1,17 @@
 from __future__ import annotations
 
 import json
+import os
 import random
 from dataclasses import replace
 from functools import partial
 from importlib import resources
+from pathlib import Path
 
 import pytest
 
 from routeclubs import ScenarioConfig, canonical_scenario, generate_payoff_matrix, is_nash
-from routeclubs import calibration
+from routeclubs import calibration, cli
 from routeclubs.calibration import (DEFAULT_GRID, STAGES, CandidateReport, _x0_quick_nash,
                                     calibrate, evaluate_candidate)
 from routeclubs.cli import main
@@ -93,6 +95,13 @@ def test_x0_that_is_nash_but_not_av_optimal_fails_its_stage():
     assert evaluate_candidate(cfg).failed_stage == "x0_av_optimal"
 
 
+def test_one_strategic_player_reaches_the_clubs_stage():
+    # flipping is the only other action, so a Nash x0 is av-optimal too;
+    # one column is still summed as a row of one
+    report = evaluate_candidate(replace(canonical_scenario(), av_ids=(9,)))
+    assert (report.failed_stage, report.club_sizes) == ("clubs", ())
+
+
 def _replay_ending(event, pick_action):
     """A stand-in for run_formation whose one-day log ends as given."""
     def replay(cfg, g, policy):
@@ -171,6 +180,24 @@ class TestCalibrateCommand:
         assert capsys.readouterr().err == f"error: --out {out} is a file or lies under one\n"
         assert calls == []
         assert taken.read_text() == "a file\n"
+
+    def test_out_it_may_not_write_exits_2_before_the_scan(self, monkeypatch, tmp_path, capsys):
+        # the tests may run as root, whom permission bits do not stop
+        def calibrate(*args):
+            pytest.fail("calibrate ran")
+        asked = []
+
+        def access(path, mode):
+            asked.append((Path(path), mode))
+            return False
+
+        monkeypatch.setattr(calibration, "calibrate", calibrate)
+        monkeypatch.setattr(cli.os, "access", access)
+        out = tmp_path / "new" / "calibration"
+        assert main(["calibrate", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: --out {out}: cannot write into {tmp_path}\n"
+        assert asked == [(tmp_path, os.W_OK | os.X_OK)]
+        assert list(tmp_path.iterdir()) == []
 
     def test_no_accepted_point_exits_3(self, offsets, tmp_path, capsys):
         offsets(0.0)

@@ -5,7 +5,7 @@ import weakref
 from dataclasses import replace
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracle
@@ -25,7 +25,8 @@ from routeclubs import (
 from routeclubs import traffic
 from routeclubs.errors import PreconditionError
 from routeclubs.game import MAX_AV_PLAYERS
-from routeclubs.traffic import scenario_hash
+from routeclubs.calibration import _x0_quick_nash
+from routeclubs.traffic import lead_vehicle_time, scenario_hash
 
 
 def single_vehicle_config(**overrides):
@@ -34,6 +35,28 @@ def single_vehicle_config(**overrides):
                   free_flow_j_to_b=5.0, saturation_headway=2.0)
     params.update(overrides)
     return ScenarioConfig(**params)
+
+
+@st.composite
+def scenarios(draw):
+    """Small scenarios with shuffled ids, awkward quanta and both supply modes."""
+    n_total = draw(st.integers(1, 8), label="n_total")
+    players = draw(st.permutations(range(n_total)), label="players")
+    av_ids = tuple(players[:draw(st.integers(1, n_total), label="n_av")])
+    r0 = draw(st.sampled_from((5.0, 20.0, 22.5)), label="r0")
+    return ScenarioConfig(
+        n_total=n_total,
+        av_ids=av_ids,
+        departure_headway=draw(st.sampled_from((0.5, 0.75, 1.0, 2.0, 3.0, 7.3))),
+        free_flow_r0_to_j=r0,
+        free_flow_r1_to_j=r0 + draw(st.sampled_from((0.5, 1.0, 10.0, 18.0))),
+        free_flow_j_to_b=draw(st.sampled_from((0.1, 5.0))),
+        saturation_headway=draw(st.sampled_from((1.5, 2.0, 4.0))),
+        payoff_quantum=draw(st.sampled_from((0.1, 0.3, 0.5, 1.0, 2.5, 10.0))),
+        supply_mode=draw(st.sampled_from(("static", "adaptive"))),
+        signal_offset=draw(st.floats(0.0, 60.0)),
+        human_slot_period=draw(st.integers(1, 4), label="human_slot_period"),
+    )
 
 
 class TestSignalPlan:
@@ -149,23 +172,7 @@ class TestSimulate:
     @given(st.data())
     @settings(max_examples=300, deadline=None)
     def test_matches_oracle(self, data):
-        n_total = data.draw(st.integers(1, 8), label="n_total")
-        players = data.draw(st.permutations(range(n_total)), label="players")
-        av_ids = tuple(players[:data.draw(st.integers(1, n_total), label="n_av")])
-        r0 = data.draw(st.sampled_from((5.0, 20.0, 22.5)), label="r0")
-        cfg = ScenarioConfig(
-            n_total=n_total,
-            av_ids=av_ids,
-            departure_headway=data.draw(st.sampled_from((0.5, 0.75, 1.0, 2.0, 3.0, 7.3))),
-            free_flow_r0_to_j=r0,
-            free_flow_r1_to_j=r0 + data.draw(st.sampled_from((0.5, 1.0, 10.0, 18.0))),
-            free_flow_j_to_b=data.draw(st.sampled_from((0.1, 5.0))),
-            saturation_headway=data.draw(st.sampled_from((1.5, 2.0, 4.0))),
-            payoff_quantum=data.draw(st.sampled_from((0.1, 0.3, 0.5, 1.0, 2.5))),
-            supply_mode=data.draw(st.sampled_from(("static", "adaptive"))),
-            signal_offset=data.draw(st.floats(0.0, 60.0)),
-            human_slot_period=data.draw(st.integers(1, 4), label="human_slot_period"),
-        )
+        cfg = data.draw(scenarios(), label="cfg")
         plan = signal_plan(data.draw(st.integers(0, 4), label="demand"),
                            data.draw(st.sampled_from(("static", "adaptive")), label="mode"))
         action = data.draw(st.integers(0, (1 << cfg.n_av) - 1), label="action")
@@ -193,6 +200,39 @@ class TestSimulate:
         departures = {player: t for player, t, _ in scenario.schedule}
         order = sorted(range(scenario.n_total), key=lambda p: departures[p])
         assert out.travel_times[order[0]] < out.travel_times[order[-1]]
+
+
+class TestLeadVehicleTime:
+    # the green windows lie more than an intergreen apart, so the two routes
+    # can tie only at a coarser quantum: here both take 40 s, and x0 is Nash
+    @example(single_vehicle_config(payoff_quantum=10.0, signal_offset=36.0))
+    @given(scenarios())
+    @settings(max_examples=150, deadline=None)
+    def test_is_the_solo_flip_time_and_decides_x0(self, cfg):
+        for player, departure, bit in cfg.schedule:
+            if bit >= 0:
+                plan = cfg.plan(1 << bit)
+                solo = simulate(cfg, 1 << bit, plan).travel_times[player]
+                assert lead_vehicle_time(cfg, departure, plan) == solo
+        assert _x0_quick_nash(cfg) == is_nash(generate_payoff_matrix(cfg), 0)
+
+
+class TestCausality:
+    @given(st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_first_mover_of_a_coalition_gets_its_solo_flip_payoff(self, data):
+        # a vehicle's time depends only on its route, the plan and the routes
+        # of earlier departures; so when y = x ^ 1_C and x ^ 1_k share a plan,
+        # C's first-departing member k is paid the same at both
+        cfg = data.draw(scenarios(), label="cfg")
+        g = generate_payoff_matrix(cfg)
+        departs = {player: t for player, t, _ in cfg.schedule}
+        x = data.draw(st.integers(0, (1 << cfg.n_av) - 1), label="x")
+        for coalition in range(1, 1 << cfg.n_av):
+            k = min(g.members_of(coalition), key=departs.__getitem__)
+            y, solo = x ^ coalition, x ^ 1 << g.bit(k)
+            if cfg.plan(y) == cfg.plan(solo):
+                assert g.entries[y][k] == g.entries[solo][k], (x, coalition)
 
 
 class TestGeneratePayoffMatrix:
