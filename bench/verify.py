@@ -2,38 +2,49 @@
 
     python3 bench/verify.py
 
-It reruns the full calibration scan, as ``routeclubs calibrate --out DIR``
-into a temporary directory, and requires both files it writes to equal
-the bundled ones in ``src/routeclubs/data``: the scenario byte for byte,
-the report in everything but ``search.elapsed_seconds``. While that
-subprocess runs, it judges every point of the calibration grid in this
-process and requires each verdict (q: quick Nash rejection, r: rejected
-at a later stage, a: accepted) to equal the one ``perfbench/expected.json``
-records; the grid order and the verdict comparison are the
-``calibration_sweep`` workload's own, read from ``perfbench/workloads.py``.
-It prints each part's wall time and the total, which is the longer part's
-on two cores. It writes nothing outside the temporary directory and exits
-1 on any difference.
+It runs the full calibration scan once, in this process, as ``routeclubs
+calibrate --out DIR`` into a temporary directory, and keeps the report of
+every grid point it judges. The two files the scan writes must equal the
+bundled ones in ``src/routeclubs/data``: the scenario byte for byte, the
+report in all but ``search.elapsed_seconds``. The reports must be one per
+point of the grid ``perfbench/expected.json`` records, in grid order, each
+with the recorded verdict (q: quick Nash rejection, r: rejected later,
+a: accepted), as the ``calibration_sweep`` workload's own check judges it.
+It prints the scan's wall time and both verdicts, writes only into the
+temporary directory and exits 1 on any difference.
 """
 
-from __future__ import annotations
-
+import contextlib
+import io
 import json
-import os
-import subprocess
 import sys
 import tempfile
 import time
 import types
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 from pathlib import Path
 
-ROOT = Path(__file__).resolve().parent.parent
-SRC = ROOT / "src"
+SRC = Path(__file__).resolve().parent.parent / "src"
 DATA = SRC / "routeclubs" / "data"
-PERFBENCH = ROOT / "perfbench"
-CALIBRATE = [sys.executable, "-m", "routeclubs.cli", "calibrate", "--out"]
+PERFBENCH = SRC.parent / "perfbench"
+
+
+def scan(calibration, cli, out: Path) -> tuple[int, list]:
+    """Run ``calibrate --out`` in this process; return its exit code and every report it judged."""
+    reports = []
+    judge = calibration.evaluate_candidate
+
+    def keep(cfg):
+        reports.append(judge(cfg))
+        return reports[-1]
+
+    calibration.evaluate_candidate = keep
+    try:
+        with contextlib.redirect_stdout(io.StringIO()):
+            code = cli.main(["calibrate", "--out", str(out)])
+    finally:
+        calibration.evaluate_candidate = judge
+    return code, reports
 
 
 def differences(fresh: dict, bundled: dict, prefix: str = "") -> list[str]:
@@ -48,70 +59,57 @@ def differences(fresh: dict, bundled: dict, prefix: str = "") -> list[str]:
     return found
 
 
-def calibration_files() -> list[str]:
-    """Differences between a fresh ``calibrate`` run's files and the bundled ones."""
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        p for p in (str(SRC), os.environ.get("PYTHONPATH")) if p))
-    with tempfile.TemporaryDirectory() as workdir:
-        out = Path(workdir) / "calibration"
-        run = subprocess.run(CALIBRATE + [str(out)], env=env, capture_output=True, text=True)
-        if run.returncode != 0:
-            return [f"calibrate exited {run.returncode}: {run.stderr.strip()}"]
-        problems = []
-        name = "canonical_scenario.json"
-        if (out / name).read_bytes() != (DATA / name).read_bytes():
-            problems.append(f"{name} differs from the bundled file")
-        fresh, bundled = (json.loads((d / "calibration_report.json").read_text())
-                          for d in (out, DATA))
+def calibration_files(out: Path) -> list[str]:
+    """Differences between the files the scan wrote into ``out`` and the bundled ones."""
+    problems = []
+    name = "canonical_scenario.json"
+    if (out / name).read_bytes() != (DATA / name).read_bytes():
+        problems.append(f"{name} differs from the bundled file")
+    fresh, bundled = (json.loads((d / "calibration_report.json").read_text()) for d in (out, DATA))
     for report in (fresh, bundled):
         report.get("search", {}).pop("elapsed_seconds", None)
     return problems + differences(fresh, bundled)
 
 
-def grid_verdicts() -> list[str]:
-    """Grid points whose verdict differs from the one ``perfbench/expected.json`` records."""
-    sys.path.insert(0, str(SRC))
-    from routeclubs.calibration import DEFAULT_GRID, evaluate_candidate
-    from routeclubs.traffic import ScenarioConfig
-
+def grid_verdicts(calibration, reports: list) -> list[str]:
+    """Reports that are missing, for another point, or whose verdict differs from the record."""
     # loaded by path, as tests/test_benchmark_smoke.py does: nothing is written there
     workloads = types.ModuleType("workloads")
     path = PERFBENCH / "workloads.py"
     exec(compile(path.read_text(), str(path), "exec"), workloads.__dict__)
     expected = json.loads((PERFBENCH / "expected.json").read_text())
     grid = expected["grid"]
-    if grid["values"] != {n: list(v) for n, v in DEFAULT_GRID.items()}:
+    if grid["values"] != {n: list(v) for n, v in calibration.DEFAULT_GRID.items()}:
         return ["the recorded grid is not calibration.DEFAULT_GRID"]
+    if len(reports) != len(grid["verdicts"]):
+        return [f"the scan judged {len(reports)} grid points, the record holds {len(grid['verdicts'])}"]
     sweep = workloads.CalibrationSweep(0, None, expected)  # check() reads only expected
     wrong = []
-    for index in range(len(grid["verdicts"])):
-        cfg = replace(ScenarioConfig(), **workloads.grid_point(grid, index))
-        error = sweep.check((index, cfg), evaluate_candidate(cfg))
+    for index, report in enumerate(reports):
+        cfg = replace(calibration.ScenarioConfig(), **workloads.grid_point(grid, index))
+        error = sweep.check((index, cfg), report)
         if error is not None:
-            wrong.append(error)
+            wrong.append(f"report {index}: {error}")
     return wrong[:20] + ([f"... and {len(wrong) - 20} more"] if len(wrong) > 20 else [])
 
 
-def timed(check) -> tuple[list[str], float]:
-    started = time.perf_counter()
-    problems = check()
-    return problems, time.perf_counter() - started
-
-
 def main() -> int:
+    sys.path.insert(0, str(SRC))
+    from routeclubs import calibration, cli
+    if Path(cli.__file__).resolve().parent != SRC / "routeclubs":
+        raise SystemExit(f"routeclubs was imported from {cli.__file__}, not from {SRC}")
     started = time.perf_counter()
-    with ThreadPoolExecutor(1) as pool:
-        # the thread only waits on the calibrate subprocess, so the two
-        # scans run side by side, one per core
-        files = pool.submit(timed, calibration_files)
-        verdicts = timed(grid_verdicts)
-        results = (("calibration files", *files.result()), ("grid verdicts", *verdicts))
-    for label, problems, seconds in results:
-        print(f"{label}: {'FAIL' if problems else 'ok'} ({seconds:.1f} s wall)")
+    with tempfile.TemporaryDirectory() as workdir:
+        out = Path(workdir) / "calibration"
+        code, reports = scan(calibration, cli, out)
+        print(f"calibration scan: {len(reports)} grid points, {time.perf_counter() - started:.1f} s wall")
+        files = calibration_files(out) if code == 0 else [f"calibrate exited {code}"]
+    verdicts = grid_verdicts(calibration, reports)
+    for label, problems in (("calibration files", files), ("grid verdicts", verdicts)):
+        print(f"{label}: {'FAIL' if problems else 'ok'}")
         for line in problems:
             print(f"  {line}")
-    print(f"total: {time.perf_counter() - started:.1f} s wall")
-    return 1 if any(problems for _, problems, _ in results) else 0
+    return 1 if files or verdicts else 0
 
 
 if __name__ == "__main__":

@@ -5,12 +5,12 @@ produces are its own; what must hold is the shape of the phenomenon.
 A scenario qualifies when it passes every stage of
 :func:`evaluate_candidate`.
 
-Strong-equilibrium existence is additionally measured and reported but
-is not an acceptance gate: under this kernel's crisp signal windows, a
-missed cycle costs a full 50 s, which makes every deviated state either
-desperate to absorb more joiners or profitable to abandon as a group;
-exhaustive sweeps over headway, saturation, route-1 length, and signal
-offset found no configuration with clubs and a strong action at once.
+Strong actions are counted and reported, not required. By the causality
+law (README, "Known limitation"), a coalition improves on a Nash action
+only if its joint flip gets another plan than its first departure's solo
+flip: a club at x0 has at least ``ROUTE1_SURGE_THRESHOLD`` members, and a
+Nash action with four or more on route 1 is strong unless a group return
+below the threshold pays. The report records none among 1,401 accepted.
 
 ``routeclubs calibrate --out DIR`` scans the default grid and writes
 the best hit and a search report into DIR.
@@ -117,7 +117,7 @@ def evaluate_candidate(cfg: ScenarioConfig) -> CandidateReport:
         return CandidateReport(cfg, "x0_nash")
     g = generate_payoff_matrix(cfg)
     # one tuple of strategic payoffs per row, in av_ids order as av_payoffs
-    av_rows = zip(*[map(itemgetter(p), g.entries.values()) for p in g.av_ids])
+    av_rows = zip(*[map(itemgetter(g.column(p)), g.entries.values()) for p in g.av_ids])
     if sum(g.av_payoffs(0)) < max(map(sum, av_rows)):
         return CandidateReport(cfg, "x0_av_optimal")
     clubs = find_clubs(g, 0)

@@ -74,7 +74,7 @@ def export_scatter(g: PayoffMatrix, classification: Mapping[int, EquilibriumClas
     # strategic players in av_ids order and by id: the orders the sums run in
     bit = {p: 1 << k for k, p in enumerate(g.av_ids)}
     col_bits = [(c, bit.get(p, 0)) for c, p in enumerate(g.player_ids)]
-    av_bits = [(g.player_ids.index(p), bit[p]) for p in g.av_ids]
+    av_bits = [(g.column(p), bit[p]) for p in g.av_ids]
     id_bits = sorted(av_bits, key=lambda cb: g.player_ids[cb[0]])
     human_cols = [c for c, b in col_bits if not b]
     av_cols = [c for c, _ in av_bits]

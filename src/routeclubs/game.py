@@ -156,7 +156,7 @@ class PayoffMatrix:
         object.__setattr__(self, "entries", entries)
         object.__setattr__(self, "_column", {p: k for k, p in enumerate(player_ids)})
         object.__setattr__(self, "_bit", {p: k for k, p in enumerate(av_ids)})
-        columns = tuple(map(player_ids.index, av_ids))
+        columns = tuple(map(self._column.__getitem__, av_ids))  # type: ignore[attr-defined]
         object.__setattr__(self, "_columns", columns)
         object.__setattr__(self, "_levels", None)  # set by _level_sets on first use
         object.__setattr__(self, "_flips", tuple((1 << k, c) for k, c in enumerate(columns)))
@@ -260,16 +260,20 @@ class EquilibriumClass:
         return hash(self._key())
 
 
+def check_cap(n_av: int) -> None:
+    """Refuse to enumerate the ``2**n_av`` joint actions past ``MAX_AV_PLAYERS``."""
+    if n_av > MAX_AV_PLAYERS:
+        raise PreconditionError(f"{n_av} strategic players span 2**{n_av} joint actions, "
+                                f"over the cap of {MAX_AV_PLAYERS} strategic players")
+
+
 def _check_targets(g: PayoffMatrix, x: int) -> None:
     """Refuse past the cap, or when ``x`` or one of its deviation targets is unpriced.
 
     An unpriced ``x`` is named first, otherwise the unpriced target
     ``x ^ c`` with the least ``c``.
     """
-    if g.n_av > MAX_AV_PLAYERS:
-        raise PreconditionError(
-            f"enumeration over {g.n_av} strategic players exceeds the cap of {MAX_AV_PLAYERS}"
-        )
+    check_cap(g.n_av)
     g.require(x)
     if not g.complete:
         unpriced = set(range(1 << g.n_av)).difference(g.entries)

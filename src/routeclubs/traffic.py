@@ -30,8 +30,8 @@ from math import floor, inf, isfinite
 from pathlib import Path
 from typing import ClassVar, Literal
 
-from .errors import FormatError, PreconditionError
-from .game import MAX_AV_PLAYERS, PayoffMatrix
+from .errors import FormatError
+from .game import PayoffMatrix, check_cap
 
 SupplyMode = Literal["static", "adaptive"]
 
@@ -233,11 +233,7 @@ def generate_payoff_matrix(cfg: ScenarioConfig) -> PayoffMatrix:
     then the day is simulated and payoffs recorded as negative quantized
     travel times for all vehicles, humans included.
     """
-    if cfg.n_av > MAX_AV_PLAYERS:
-        raise PreconditionError(
-            f"{cfg.n_av} strategic players need {1 << cfg.n_av} simulations, over the "
-            f"cap of 2**{MAX_AV_PLAYERS}"
-        )
+    check_cap(cfg.n_av)
     entries = {}
     for action in range(1 << cfg.n_av):
         outcome = simulate(cfg, action, cfg.plan(action))

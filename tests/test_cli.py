@@ -12,7 +12,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from routeclubs import ScenarioConfig, canonical_scenario, load_matrix, save_matrix
+from routeclubs import (ScenarioConfig, canonical_scenario, generate_payoff_matrix, load_matrix,
+                        save_matrix)
 from routeclubs.cli import main
 from routeclubs.traffic import save_scenario
 
@@ -20,6 +21,11 @@ from routeclubs.traffic import save_scenario
 # the scenario fields that hold real numbers
 _NUMBER_FIELDS = ("departure_headway", "free_flow_r0_to_j", "free_flow_r1_to_j", "free_flow_j_to_b",
                   "saturation_headway", "payoff_quantum", "signal_offset")
+
+
+# a calibration grid point whose x0 is Nash but holds no club
+_CLUBLESS = dict(departure_headway=0.5, saturation_headway=1.5, free_flow_r1_to_j=40.0,
+                 signal_offset=19.0)
 
 
 @pytest.fixture(scope="module")
@@ -96,7 +102,9 @@ class TestGenerate:
         cfg_path = tmp_path / "wide.json"
         save_scenario(replace(scenario, n_total=n + 4, av_ids=tuple(range(n))), cfg_path)
         assert main(["generate", "--config", str(cfg_path), "--out", str(tmp_path / "x")]) == 3
-        assert f"cap of 2**{MAX_AV_PLAYERS}" in capsys.readouterr().err
+        assert capsys.readouterr().err == (
+            f"error: {n} strategic players span 2**{n} joint actions, "
+            f"over the cap of {MAX_AV_PLAYERS} strategic players\n")
         assert not (tmp_path / "x").exists()
 
 
@@ -184,6 +192,14 @@ class TestGraph:
                      "--root", "99", "--out", str(tmp_path / "g.dot")]) == 3
         assert "'99'" in capsys.readouterr().err
 
+    def test_no_club_without_root_exits_3(self, tmp_path, capsys):
+        matrix, out = tmp_path / "clubless.mtx", tmp_path / "g.dot"
+        save_matrix(generate_payoff_matrix(replace(ScenarioConfig(), **_CLUBLESS)), matrix)
+        assert main(["graph", "--matrix", str(matrix), "--out", str(out)]) == 3
+        assert capsys.readouterr().err == (
+            "error: no club exists at the all-on-route-0 action; pass --root\n")
+        assert not out.exists()
+
 
 class TestForm:
     def test_writes_day_log(self, matrix_file, tmp_path):
@@ -219,10 +235,8 @@ class TestForm:
         assert capsys.readouterr().err == "error: payoff matrix does not match the scenario\n"
 
     def test_no_club_without_leader_exits_3(self, tmp_path, capsys):
-        # a calibration grid point whose x0 is Nash but holds no club
         cfg_path = tmp_path / "clubless.json"
-        save_scenario(replace(ScenarioConfig(), departure_headway=0.5, saturation_headway=1.5,
-                              free_flow_r1_to_j=40.0, signal_offset=19.0), cfg_path)
+        save_scenario(replace(ScenarioConfig(), **_CLUBLESS), cfg_path)
         assert main(["form", "--config", str(cfg_path)]) == 3
         assert capsys.readouterr().err == "error: no club exists; nothing to form\n"
 

@@ -1,8 +1,13 @@
 from __future__ import annotations
 
+import json
 from dataclasses import replace
+from itertools import product
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from routeclubs import (
     DayEvent,
@@ -24,6 +29,7 @@ from routeclubs import (
     static_variant,
     terminal_coalitions,
 )
+from routeclubs.calibration import DEFAULT_GRID
 from routeclubs.fixtures import table1_completed
 from routeclubs.stability import build_club_graph
 
@@ -253,3 +259,35 @@ class TestPolicyValidation:
     def test_max_days_must_be_positive(self):
         with pytest.raises(PreconditionError, match="max_days"):
             FormationPolicy(leader=0, max_days=0)
+
+
+@pytest.fixture(scope="module")
+def club_grid_points():
+    # the DEFAULT_GRID points with a Nash x0 and a club are the ones perfbench/expected.json
+    # records as accepted (verdict "a"), about 6% of the grid
+    grid = json.loads((Path(__file__).parents[1] / "perfbench" / "expected.json").read_text())["grid"]
+    names = sorted(DEFAULT_GRID)
+    points = product(*(DEFAULT_GRID[n] for n in names))
+    return [dict(zip(names, p)) for p, verdict in zip(points, grid["verdicts"]) if verdict == "a"]
+
+
+class TestReplayBound:
+    # By the causality law, the club keeps three or more on route 1, so the surge plan
+    # holds from day 2 on, only day 1 is simulated, and each free player settles in the
+    # first round: one round of moves, one quiet round and four other records at most.
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_every_replay_converges_fast_on_one_simulation(self, club_grid_points, data):
+        cfg = replace(ScenarioConfig(), **data.draw(st.sampled_from(club_grid_points)))
+        g = generate_payoff_matrix(cfg)
+        calls = []
+        original = formation.evaluate_lagged_day
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(formation, "evaluate_lagged_day",
+                          lambda *args: calls.append(args) or original(*args))
+            runs = all_replays(cfg, g)
+        # one simulation per replay: the club's deviation on day 1, under the plan of day 0
+        assert runs and calls == [(cfg, days[1].action, 0) for days in runs]
+        for days in runs:
+            assert days[-1].event is DayEvent.CONVERGED
+            assert len(days) <= 4 + 2 * (g.n_av - days[1].action.bit_count())

@@ -108,13 +108,15 @@ class TestImprovingCoalitions:
         # one priced row: past the cap check, each call would fail on a
         # missing action or start a 2**21 walk
         n = MAX_AV_PLAYERS + 1
+        cap = (rf"^{n} strategic players span 2\*\*{n} joint actions, "
+               rf"over the cap of {MAX_AV_PLAYERS} strategic players$")
         g = PayoffMatrix(n_players=n, av_ids=tuple(range(n)), entries={1: (-1.0,) * n})
         graph = build_club_graph(g, {0})
         calls = (lambda: improving_coalitions(g, 1), lambda: is_strong(g, 1),
                  lambda: find_clubs(g, 1), lambda: classify_all(g),
                  lambda: se_candidates(g, graph))
         for call in calls:
-            with pytest.raises(PreconditionError, match=f"cap of {MAX_AV_PLAYERS}"):
+            with pytest.raises(PreconditionError, match=cap):
                 call()
 
 

@@ -255,13 +255,15 @@ class TestGeneratePayoffMatrix:
 
     def test_cap_refuses_blowup(self, scenario, monkeypatch):
         n = MAX_AV_PLAYERS + 1
+        cap = (rf"^{n} strategic players span 2\*\*{n} joint actions, "
+               rf"over the cap of {MAX_AV_PLAYERS} strategic players$")
         wide = replace(scenario, n_total=n + 4, av_ids=tuple(range(n)))
 
         def no_simulation(*args):
             raise AssertionError("simulated past the cap")
 
         monkeypatch.setattr(traffic, "simulate", no_simulation)
-        with pytest.raises(PreconditionError, match=rf"cap of 2\*\*{MAX_AV_PLAYERS}"):
+        with pytest.raises(PreconditionError, match=cap):
             generate_payoff_matrix(wide)
 
     def test_metadata(self, scenario, adaptive_matrix):
