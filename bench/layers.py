@@ -91,7 +91,7 @@ def layers(workdir: Path) -> dict:
     """Name -> zero-argument call, inputs prepared here and not timed; files go to ``workdir``."""
     sys.path.insert(0, str(ROOT / "src"))
     from routeclubs import calibration, exports, formation, matrixio, stability, traffic
-    from routeclubs.game import PayoffMatrix, classify_all, find_clubs, improving_coalitions, is_nash
+    from routeclubs.game import classify_all, find_clubs, improving_coalitions, is_nash
 
     cfg = traffic.canonical_scenario()
     n12 = replace(cfg, av_ids=tuple(range(12)))
@@ -117,11 +117,6 @@ def layers(workdir: Path) -> dict:
     classes10, classes12 = classify_all(g), classify_all(g12)
     policy = formation.FormationPolicy(leader=formation.default_leader(find_clubs(g, 0)))
 
-    def fresh(m):
-        return PayoffMatrix(n_players=m.n_players, av_ids=m.av_ids, entries=m.entries,
-                            player_ids=m.player_ids, quantum=m.quantum,
-                            supply_mode=m.supply_mode, scenario_hash=m.scenario_hash)
-
     return {
         "simulate": lambda: traffic.simulate(cfg, club, plan),
         "generate_payoff_matrix_n10": lambda: traffic.generate_payoff_matrix(cfg),
@@ -129,9 +124,9 @@ def layers(workdir: Path) -> dict:
         "evaluate_candidate_quick_rejection": lambda: calibration.evaluate_candidate(rejected),
         "evaluate_candidate_full": lambda: calibration.evaluate_candidate(cfg),
         "run_formation": lambda: formation.run_formation(cfg, g, policy),
-        "classify_all_n10": lambda: classify_all(fresh(g)),
-        "classify_all_n12": lambda: classify_all(fresh(g12)),
-        "classify_all_n14": lambda: classify_all(fresh(g14)),
+        "classify_all_n10": lambda: classify_all(replace(g)),
+        "classify_all_n12": lambda: classify_all(replace(g12)),
+        "classify_all_n14": lambda: classify_all(replace(g14)),
         "save_matrix_n10": lambda: matrixio.save_matrix(g, workdir / "save.matrix"),
         "save_matrix_n12": lambda: matrixio.save_matrix(g12, workdir / "save.matrix"),
         "load_matrix_n10": lambda: matrixio.load_matrix(file10),

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from itertools import product
 from operator import itemgetter
 from pathlib import Path
@@ -145,7 +145,7 @@ def calibrate(grid: dict[str, Sequence[float]] | None = None) -> tuple[Candidate
     stage_fail = dict.fromkeys(STAGES, 0)
     for values in product(*(grid[n] for n in names)):
         try:
-            cfg = replace(ScenarioConfig(), **dict(zip(names, values)))
+            cfg = ScenarioConfig(**dict(zip(names, values)))
         except ValueError:  # a point ScenarioConfig refuses
             continue
         tried += 1

@@ -114,11 +114,7 @@ def cmd_form(args) -> int:
         g = generate_payoff_matrix(cfg)
     _check_scenario(cfg, g)
     leader = args.leader if args.leader is not None else default_leader(find_clubs(g, 0))
-    policy = FormationPolicy(
-        leader=leader,
-        target_selection=TARGET_STABLE if args.policy == "stable" else TARGET_FIRST,
-        max_days=args.max_days,
-    )
+    policy = FormationPolicy(leader=leader, target_selection=args.policy, max_days=args.max_days)
     days = run_formation(cfg, g, policy)
     lines = []
     for d in days:
@@ -204,7 +200,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", help="scenario JSON (default: bundled calibrated scenario)")
     p.add_argument("--matrix", help="matrix file (default: generate from the scenario)")
     p.add_argument("--leader", type=int, help="leader player id (default: least member of first club)")
-    p.add_argument("--policy", choices=["first", "stable"], default="first")
+    p.add_argument("--policy", choices=[TARGET_FIRST, TARGET_STABLE], default=TARGET_FIRST)
     p.add_argument("--max-days", type=int, default=60)
     p.add_argument("--out", help="JSON-lines file to write (default: stdout)")
     p.set_defaults(func=cmd_form)

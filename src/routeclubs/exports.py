@@ -11,7 +11,8 @@ from pathlib import Path
 from typing import Iterable, Mapping
 
 from .errors import PreconditionError
-from .game import Coalition, EquilibriumClass, PayoffMatrix, action_to_string, sort_coalitions
+from .game import (Coalition, EquilibriumClass, PayoffMatrix, _check_targets, action_to_string,
+                   sort_coalitions)
 from .stability import ClubGraph
 
 
@@ -62,9 +63,7 @@ def export_scatter(g: PayoffMatrix, classification: Mapping[int, EquilibriumClas
     """
     n_av = g.n_av
     n_actions = 1 << n_av
-    if not g.complete:
-        for action in range(n_actions):
-            g.require(action)
+    _check_targets(g, 0)
     classes = list(map(classification.get, range(n_actions)))
     if None in classes:
         raise PreconditionError(

@@ -24,9 +24,9 @@ from .traffic import (
     scenario_hash,
 )
 
-TARGET_FIRST = "first_club_containing_leader"
-TARGET_STABLE = "stability_seeking"
-TargetSelection = Literal["first_club_containing_leader", "stability_seeking"]
+TARGET_FIRST = "first"
+TARGET_STABLE = "stable"
+TargetSelection = Literal["first", "stable"]
 
 
 class DayEvent(Enum):
@@ -136,45 +136,46 @@ def run_formation(cfg: ScenarioConfig, g: PayoffMatrix,
 
     records: list[DayRecord] = []
 
-    def price(today: int, yesterday: int) -> tuple[float, ...]:
-        """Payoffs of today's action under the plan derived from yesterday's."""
-        if cfg.plan(yesterday) == cfg.plan(today):
+    def price(today: int, yesterday: int, plan: SignalPlan) -> tuple[float, ...]:
+        """Payoffs of today's action under ``plan``, the plan derived from yesterday's."""
+        if plan == cfg.plan(today):
             return g.entries[today]
         return tuple(-t for t in evaluate_lagged_day(cfg, today, yesterday).travel_times)
 
-    def record(day: int, action: int, yesterday: int, event: DayEvent,
-               player: int | None = None, from_route: int | None = None,
-               to_route: int | None = None) -> None:
+    def record(action: int, yesterday: int, plan: SignalPlan, payoffs: tuple[float, ...],
+               event: DayEvent, player: int | None = None) -> None:
+        from_route = to_route = None
+        if player is not None:
+            bit = g.bit(player)
+            from_route, to_route = yesterday >> bit & 1, action >> bit & 1
         records.append(DayRecord(
-            day=day, action=action, plan=cfg.plan(yesterday),
-            payoffs=price(action, yesterday), event=event, player=player,
-            from_route=from_route, to_route=to_route,
+            day=len(records), action=action, plan=plan, payoffs=payoffs, event=event,
+            player=player, from_route=from_route, to_route=to_route,
         ))
 
-    x0 = 0
-    record(0, x0, x0, DayEvent.EQUILIBRIUM)
-    x1 = g.indicator(club)
-    record(1, x1, x0, DayEvent.CLUB_DEVIATES)
+    x0, x1 = 0, g.indicator(club)
+    plan = cfg.plan(x0)
+    record(x0, x0, plan, g.entries[x0], DayEvent.EQUILIBRIUM)
+    record(x1, x0, plan, price(x1, x0, plan), DayEvent.CLUB_DEVIATES)
     if policy.max_days < 2:
         return records
-    record(2, x1, x1, DayEvent.SIGNAL_ADAPTS)
+    record(x1, x1, cfg.plan(x1), g.entries[x1], DayEvent.SIGNAL_ADAPTS)
 
     free = [p for p in g.av_ids if p not in club]
-    day = 3
     quiet_days = 0
-    while day <= policy.max_days:
-        if not free or quiet_days >= len(free):
-            record(day, records[-1].action, records[-1].action, DayEvent.CONVERGED)
-            break
-        player = free[(day - 3) % len(free)]
+    while len(records) <= policy.max_days:
         yesterday = records[-1].action
-        bit = g.bit(player)
-        flipped = yesterday ^ 1 << bit
-        if price(flipped, yesterday)[player] > g.entries[yesterday][player]:
-            today, quiet_days = flipped, 0
+        plan = cfg.plan(yesterday)
+        stay = g.entries[yesterday]
+        if not free or quiet_days >= len(free):
+            record(yesterday, yesterday, plan, stay, DayEvent.CONVERGED)
+            break
+        player = free[(len(records) - 3) % len(free)]
+        flipped = yesterday ^ 1 << g.bit(player)
+        moved = price(flipped, yesterday, plan)
+        if moved[player] > stay[player]:
+            today, payoffs, quiet_days = flipped, moved, 0
         else:
-            today, quiet_days = yesterday, quiet_days + 1
-        record(day, today, yesterday, DayEvent.BEST_RESPONSE, player=player,
-               from_route=yesterday >> bit & 1, to_route=today >> bit & 1)
-        day += 1
+            today, payoffs, quiet_days = yesterday, stay, quiet_days + 1
+        record(today, yesterday, plan, payoffs, DayEvent.BEST_RESPONSE, player)
     return records

@@ -10,6 +10,7 @@ row count so a fixture can never silently pass for a complete matrix.
 
 from __future__ import annotations
 
+from dataclasses import replace
 from pathlib import Path
 
 from .errors import MatrixFormatError
@@ -160,8 +161,4 @@ def complete_with_fill(g: PayoffMatrix, fill: float = -999.0) -> PayoffMatrix:
     filler = (float(fill),) * g.n_players
     for action in range(1 << g.n_av):
         entries.setdefault(action, filler)
-    return PayoffMatrix(
-        n_players=g.n_players, av_ids=g.av_ids, entries=entries,
-        player_ids=g.player_ids, quantum=g.quantum,
-        supply_mode=g.supply_mode, scenario_hash=g.scenario_hash,
-    )
+    return replace(g, entries=entries)

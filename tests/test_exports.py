@@ -89,8 +89,9 @@ class TestExportScatter:
 
     def test_incomplete_matrix_is_rejected(self, fixture_partial, tmp_path):
         from routeclubs import IncompleteMatrixError
-        with pytest.raises(IncompleteMatrixError):
+        with pytest.raises(IncompleteMatrixError) as excinfo:
             export_scatter(fixture_partial, {}, tmp_path / "x.csv")
+        assert excinfo.value.action_label == "10000"  # the fixture's first unpriced action
 
     def test_missing_classification_is_rejected(self, fixture_complete, tmp_path):
         with pytest.raises(PreconditionError, match="classification lacks"):

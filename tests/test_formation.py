@@ -256,6 +256,13 @@ class TestPolicyValidation:
         with pytest.raises(PreconditionError, match="target selection"):
             FormationPolicy(leader=0, target_selection="greedy")
 
+    def test_policy_names_are_those_of_form(self):
+        assert FormationPolicy(leader=0, target_selection="first").target_selection == TARGET_FIRST
+        assert FormationPolicy(leader=0, target_selection="stable").target_selection == TARGET_STABLE
+        for old in ("first_club_containing_leader", "stability_seeking"):
+            with pytest.raises(PreconditionError, match="target selection"):
+                FormationPolicy(leader=0, target_selection=old)
+
     def test_max_days_must_be_positive(self):
         with pytest.raises(PreconditionError, match="max_days"):
             FormationPolicy(leader=0, max_days=0)
